@@ -12,10 +12,6 @@ namespace soi {
 /// Options for InfMax_TC.
 struct InfMaxTcOptions {
   uint32_t k = 50;
-  /// Retained for API compatibility; selection now always runs on the
-  /// exact-decrement cover engine, which matches both legacy paths
-  /// byte-for-byte (CELF and exhaustive were already output-identical).
-  bool use_celf = true;
   /// Record MG_10/MG_1 (Figure 7) per step. With maintained gains this is
   /// O(n) per round instead of the former O(n * |C|) rescan.
   bool track_saturation = false;

@@ -31,9 +31,6 @@ namespace soi {
 /// Options for the weighted variant.
 struct WeightedCoverOptions {
   uint32_t k = 50;
-  /// Retained for API compatibility; the lazy (CELF) kernel is exact for
-  /// this submodular objective and matches the exhaustive scan exactly.
-  bool use_celf = true;
 };
 
 /// Greedy weighted max-cover over the typical cascades. `node_values[v]` is

@@ -75,35 +75,39 @@ void ParallelForChunks(
   }
 
   // Static chunk boundaries; threads claim whole chunks via a shared cursor.
-  std::atomic<uint64_t> next_chunk{0};
-  const auto run_chunks = [&] {
+  // The caller returns once every chunk has *run*, not once every helper
+  // task has *started*: the pool's workers may all be blocked elsewhere
+  // (e.g. on a lock one of the caller's chunks holds while it opens this
+  // region), and then the caller runs every chunk itself. So the cursor and
+  // the completion count live in state the helper tasks co-own; a helper
+  // that starts late finds no chunk left and exits without touching `fn` or
+  // anything else on the caller's stack.
+  struct Shared {
+    std::atomic<uint64_t> next_chunk{0};
+    std::mutex mu;
+    std::condition_variable cv;
+    uint32_t done = 0;  // chunks finished; guarded by mu
+  };
+  const auto shared = std::make_shared<Shared>();
+  const auto* fn_ptr = &fn;
+  const auto run_chunks = [shared, fn_ptr, begin, end, chunk_size,
+                           num_chunks] {
     uint64_t c;
-    while ((c = next_chunk.fetch_add(1, std::memory_order_relaxed)) <
+    while ((c = shared->next_chunk.fetch_add(1, std::memory_order_relaxed)) <
            num_chunks) {
       const uint64_t b = begin + c * chunk_size;
-      fn(static_cast<uint32_t>(c), b, std::min(end, b + chunk_size));
+      (*fn_ptr)(static_cast<uint32_t>(c), b, std::min(end, b + chunk_size));
+      std::lock_guard<std::mutex> lock(shared->mu);
+      if (++shared->done == num_chunks) shared->cv.notify_one();
     }
   };
 
-  std::mutex mu;
-  std::condition_variable cv;
   const uint32_t num_helpers =
       std::min<uint32_t>(pool->num_threads(), num_chunks - 1);
-  uint32_t pending = num_helpers;
-  for (uint32_t i = 0; i < num_helpers; ++i) {
-    pool->Submit([&] {
-      run_chunks();
-      // Notify under the lock: `cv` lives on the caller's stack, and the
-      // caller may only destroy it after reacquiring `mu` and observing
-      // pending == 0, which cannot happen before this critical section ends.
-      std::lock_guard<std::mutex> lock(mu);
-      --pending;
-      cv.notify_one();
-    });
-  }
+  for (uint32_t i = 0; i < num_helpers; ++i) pool->Submit(run_chunks);
   run_chunks();  // the calling thread is a full participant
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&] { return pending == 0; });
+  std::unique_lock<std::mutex> lock(shared->mu);
+  shared->cv.wait(lock, [&] { return shared->done == num_chunks; });
 }
 
 }  // namespace soi

@@ -46,8 +46,10 @@ uint32_t PlannedChunks(uint64_t range, uint64_t grain);
 /// Runs fn(chunk_index, chunk_begin, chunk_end) over a static partition of
 /// [begin, end) into PlannedChunks(end - begin, grain) contiguous chunks.
 /// Chunk boundaries are fixed up front (static chunking); idle threads pick
-/// up whole chunks, never fractions. Blocks until every chunk has run.
-/// Nested calls from inside a chunk run inline on the worker.
+/// up whole chunks, never fractions. Blocks until every chunk has run —
+/// never on a pool worker becoming free, so a caller whose chunks hold a
+/// lock the workers are waiting on still completes (it runs the chunks
+/// itself). Nested calls from inside a chunk run inline on the worker.
 void ParallelForChunks(
     uint64_t begin, uint64_t end, uint64_t grain,
     const std::function<void(uint32_t, uint64_t, uint64_t)>& fn);

@@ -77,35 +77,87 @@ ReachabilityClosure BuildReachabilityClosure(const Condensation& cond,
   // array dedupes every union without resets; ids never wrap because
   // nc < 2^32.
   std::vector<uint32_t> stamp(nc, 0);
-  std::vector<uint32_t> gather;
+  std::vector<uint32_t> extras;
+  std::vector<NodeId> extra_nodes;
   RunMergeScratch scratch;
   for (uint32_t c = 0; c < nc; ++c) {
-    const uint32_t id = c + 1;
-    gather.clear();
-    gather.push_back(c);
-    stamp[c] = id;
-    uint64_t cascade_nodes = cond.ComponentSize(c);
-    for (uint32_t s : cond.DagSuccessors(c)) {
-      // s < c (reverse-topological id order), so closure(s) is final.
-      for (uint32_t x : out.Closure(s)) {
-        if (stamp[x] != id) {
-          stamp[x] = id;
-          gather.push_back(x);
-          cascade_nodes += cond.ComponentSize(x);
+    const auto succ = cond.DagSuccessors(c);
+    if (succ.empty()) {
+      const auto members = cond.ComponentMembers(c);
+      if (out.nodes.size() + members.size() > max_total_nodes) {
+        return ReachabilityClosure{};
+      }
+      out.comps.push_back(c);
+      out.comp_offsets.push_back(out.comps.size());
+      out.nodes.insert(out.nodes.end(), members.begin(), members.end());
+      out.node_offsets.push_back(out.nodes.size());
+      continue;
+    }
+
+    // Successors have smaller ids (reverse-topological order), so their
+    // runs are final. Reuse the child b with the longest cascade run whole;
+    // only the "extras" — components reached through the other children
+    // but not through b — still need gathering, sorting and merging.
+    uint32_t b = succ[0];
+    for (uint32_t s : succ) {
+      if (out.NodeCount(s) > out.NodeCount(b)) b = s;
+    }
+    extras.clear();
+    uint64_t extra_count = cond.ComponentSize(c);
+    if (succ.size() > 1) {
+      const uint32_t id = c + 1;
+      for (uint32_t x : out.Closure(b)) stamp[x] = id;
+      for (uint32_t s : succ) {
+        // The stamped set is a union of closures, hence closed under
+        // reachability: a stamped child adds nothing.
+        if (stamp[s] == id) continue;
+        for (uint32_t x : out.Closure(s)) {
+          if (stamp[x] != id) {
+            stamp[x] = id;
+            extras.push_back(x);
+            extra_count += cond.ComponentSize(x);
+          }
         }
       }
+      std::sort(extras.begin(), extras.end());
     }
-    if (out.nodes.size() + cascade_nodes > max_total_nodes) {
+    extras.push_back(c);  // c exceeds every id it reaches
+    if (out.nodes.size() + out.NodeCount(b) + extra_count > max_total_nodes) {
       return ReachabilityClosure{};
     }
-    std::sort(gather.begin(), gather.end());
-    out.comps.insert(out.comps.end(), gather.begin(), gather.end());
+
+    // comps(c) = merge(closure(b), extras). Resize first: the input range
+    // lives in the same vector, ahead of the output.
+    const uint64_t cb = out.comp_offsets[b];
+    const uint64_t ce = out.comp_offsets[b + 1];
+    const size_t comps_base = out.comps.size();
+    out.comps.resize(comps_base + (ce - cb) + extras.size());
+    std::merge(out.comps.begin() + cb, out.comps.begin() + ce, extras.begin(),
+               extras.end(), out.comps.begin() + comps_base);
     out.comp_offsets.push_back(out.comps.size());
-    // Materialize the cascade run once; every query on this component is a
-    // span into it from here on.
-    MergeComponentMemberRuns(cond, gather, &scratch, &out.nodes);
+
+    // nodes(c) = merge(cascade(b), members of the extras). Materialized once;
+    // every query on this component is a span into it from here on.
+    std::span<const NodeId> extra_run = cond.ComponentMembers(c);
+    if (extras.size() > 1) {
+      extra_nodes.clear();
+      MergeComponentMemberRuns(cond, extras, &scratch, &extra_nodes);
+      extra_run = extra_nodes;
+    }
+    const uint64_t nb = out.node_offsets[b];
+    const uint64_t ne = out.node_offsets[b + 1];
+    const size_t nodes_base = out.nodes.size();
+    out.nodes.resize(nodes_base + (ne - nb) + extra_run.size());
+    std::merge(out.nodes.begin() + nb, out.nodes.begin() + ne,
+               extra_run.begin(), extra_run.end(),
+               out.nodes.begin() + nodes_base);
     out.node_offsets.push_back(out.nodes.size());
   }
+  // A closure is long-lived serving state: drop the growth slack (up to
+  // half of each run array). Dynamic updates re-derive closures again and
+  // again, so this also keeps the heap from ratcheting up.
+  out.comps.shrink_to_fit();
+  out.nodes.shrink_to_fit();
   return out;
 }
 

@@ -23,12 +23,13 @@ namespace soi {
 ///
 ///   closure(c) = {c} ∪ closure(s_1) ∪ ... ∪ closure(s_k),   s_i = succ(c),
 ///
-/// with all successor closures already final. Each component then merges its
-/// (disjoint, pre-sorted) member runs once, at build time — after which a
-/// single-source cascade query is a span into the runs CSR (no traversal, no
-/// sort, no copy), a cascade size is a subtraction of two offsets, and a
-/// multi-source cascade is a stamped union of closure lists followed by one
-/// run merge.
+/// with all successor closures already final. Each component's runs are
+/// built once, at build time, from its largest child's finished runs: only
+/// the components the other children add are gathered and merged in —
+/// after which a single-source cascade query is a span into the runs CSR
+/// (no traversal, no sort, no copy), a cascade size is a subtraction of two
+/// offsets, and a multi-source cascade is a stamped union of closure lists
+/// followed by one run merge.
 ///
 /// Storage is dual-mode: a closure either owns its CSR arrays (the vectors
 /// below, filled by BuildReachabilityClosure) or *borrows* them from an
@@ -148,6 +149,18 @@ void MergeComponentMemberRuns(const Condensation& cond,
 
 /// Builds the full reachability closure of `cond` in one ascending
 /// (reverse-topological) pass. Deterministic: depends only on the DAG.
+///
+/// Component c reuses the finished runs of its child b with the longest
+/// cascade run: the components reached through c's other children but not
+/// through b (found by stamping closure(b)) plus c itself are the "extras",
+/// and
+///
+///   comps(c) = merge(closure(b), sorted extras)
+///   nodes(c) = merge(cascade(b), merged member runs of the extras),
+///
+/// so a single-child component costs one 2-way merge, no stamping and no
+/// sort. The output is the same as gathering and sorting the whole closure.
+/// The returned arrays are sized exactly (no growth slack).
 ///
 /// `max_total_nodes` caps the total materialized run length (the dominant
 /// memory term; the component lists it bounds are never longer); when the

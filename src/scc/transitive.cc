@@ -1,6 +1,7 @@
 #include "scc/transitive.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -10,6 +11,30 @@ namespace soi {
 
 namespace {
 
+// Collects the reduced DAG row by row, parents in increasing id, in the
+// layout Csr::FromEdges gives (each row ascending) without building and
+// sorting an edge list.
+class ReducedDag {
+ public:
+  ReducedDag(uint32_t nc, uint32_t max_edges) {
+    csr_.offsets.reserve(nc + 1);
+    csr_.offsets.push_back(0);
+    csr_.targets.reserve(max_edges);
+  }
+  void Keep(uint32_t v) { csr_.targets.push_back(v); }
+  void EndRow() {
+    std::sort(csr_.targets.begin() + csr_.offsets.back(), csr_.targets.end());
+    csr_.offsets.push_back(static_cast<uint32_t>(csr_.targets.size()));
+  }
+  Csr Finish() {
+    csr_.targets.shrink_to_fit();  // the DAG is stored with the world
+    return std::move(csr_);
+  }
+
+ private:
+  Csr csr_;
+};
+
 // Dense strategy: process components in increasing id (children before
 // parents, by the Tarjan invariant) maintaining full reachability bitsets.
 ReductionStats ReduceDense(Condensation* cond) {
@@ -18,8 +43,7 @@ ReductionStats ReduceDense(Condensation* cond) {
   stats.edges_before = cond->num_dag_edges();
 
   std::vector<BitVector> reach(nc);
-  std::vector<std::pair<NodeId, NodeId>> kept_edges;
-  kept_edges.reserve(stats.edges_before);
+  ReducedDag reduced(nc, stats.edges_before);
   std::vector<uint32_t> children;
 
   for (uint32_t c = 0; c < nc; ++c) {
@@ -31,40 +55,43 @@ ReductionStats ReduceDense(Condensation* cond) {
     BitVector& acc = reach[c];
     for (uint32_t v : children) {
       if (acc.Test(v)) continue;  // implied by a longer path
-      kept_edges.emplace_back(c, v);
+      reduced.Keep(v);
       acc |= reach[v];
       acc.Set(v);
     }
+    reduced.EndRow();
     acc.Set(c);
   }
-  cond->ReplaceDag(Csr::FromEdges(nc, std::move(kept_edges), /*dedupe=*/false));
+  cond->ReplaceDag(reduced.Finish());
   stats.edges_after = cond->num_dag_edges();
   return stats;
 }
 
 // DFS strategy: per parent, scan children in decreasing id order; a child
-// already marked by the DFS of an earlier (kept) sibling is redundant.
-ReductionStats ReduceDfs(Condensation* cond, uint64_t budget) {
+// already marked by the DFS of an earlier (kept) sibling is redundant. When
+// the visit budget runs out, `partial` keeps the remaining parents' edges
+// unreduced (kDfs); otherwise the attempt is abandoned and nullopt returned
+// with *cond untouched (kAuto, which falls back to the dense strategy).
+std::optional<ReductionStats> ReduceDfs(Condensation* cond, uint64_t budget,
+                                        bool partial) {
   const uint32_t nc = cond->num_components();
   ReductionStats stats;
   stats.edges_before = cond->num_dag_edges();
 
   std::vector<uint32_t> stamp(nc, 0);
   std::vector<uint32_t> stack;
-  std::vector<std::pair<NodeId, NodeId>> kept_edges;
-  kept_edges.reserve(stats.edges_before);
+  ReducedDag reduced(nc, stats.edges_before);
   std::vector<uint32_t> children;
   uint64_t visits = 0;
 
   for (uint32_t c = 0; c < nc; ++c) {
     const auto succ = cond->DagSuccessors(c);
-    if (succ.size() <= 1) {
-      for (uint32_t v : succ) kept_edges.emplace_back(c, v);
-      continue;
-    }
-    if (visits > budget) {
-      stats.truncated = true;
-      for (uint32_t v : succ) kept_edges.emplace_back(c, v);
+    const bool out_of_budget = succ.size() > 1 && visits > budget;
+    if (out_of_budget && !partial) return std::nullopt;
+    if (succ.size() <= 1 || out_of_budget) {  // kept unreduced
+      stats.truncated |= out_of_budget;
+      for (uint32_t v : succ) reduced.Keep(v);
+      reduced.EndRow();
       continue;
     }
     children.assign(succ.begin(), succ.end());
@@ -72,7 +99,7 @@ ReductionStats ReduceDfs(Condensation* cond, uint64_t budget) {
     const uint32_t stamp_id = c + 1;
     for (uint32_t v : children) {
       if (stamp[v] == stamp_id) continue;  // redundant
-      kept_edges.emplace_back(c, v);
+      reduced.Keep(v);
       // Mark everything reachable from v (including v).
       stack.push_back(v);
       stamp[v] = stamp_id;
@@ -88,8 +115,9 @@ ReductionStats ReduceDfs(Condensation* cond, uint64_t budget) {
         }
       }
     }
+    reduced.EndRow();
   }
-  cond->ReplaceDag(Csr::FromEdges(nc, std::move(kept_edges), /*dedupe=*/false));
+  cond->ReplaceDag(reduced.Finish());
   stats.edges_after = cond->num_dag_edges();
   return stats;
 }
@@ -100,9 +128,24 @@ ReductionStats TransitiveReduce(Condensation* cond,
                                 const ReductionOptions& options) {
   ReductionStrategy strategy = options.strategy;
   if (strategy == ReductionStrategy::kAuto) {
-    strategy = cond->num_components() <= options.dense_limit
-                   ? ReductionStrategy::kDenseBitset
-                   : ReductionStrategy::kDfs;
+    const uint64_t nc = cond->num_components();
+    if (nc > options.dense_limit) {
+      strategy = ReductionStrategy::kDfs;
+    } else {
+      // Sampled worlds are mostly sparse DAGs, where DFS marking is far
+      // cheaper than nc-bit sets. Try it first and fall back to the dense
+      // bitsets on the untouched DAG when its budget runs out; both yield
+      // the unique transitive reduction. A visit costs about two bitset
+      // words, so capping the attempt at half the dense footprint (nc^2
+      // bits) keeps a DAG that defeats DFS near the dense strategy's cost.
+      const uint64_t dense_words = nc * ((nc + 63) / 64);
+      if (auto stats = ReduceDfs(
+              cond, std::min(options.dfs_visit_budget, dense_words / 2),
+              /*partial=*/false)) {
+        return *stats;
+      }
+      strategy = ReductionStrategy::kDenseBitset;
+    }
   }
   switch (strategy) {
     case ReductionStrategy::kNone: {
@@ -113,7 +156,7 @@ ReductionStats TransitiveReduce(Condensation* cond,
     case ReductionStrategy::kDenseBitset:
       return ReduceDense(cond);
     case ReductionStrategy::kDfs:
-      return ReduceDfs(cond, options.dfs_visit_budget);
+      return *ReduceDfs(cond, options.dfs_visit_budget, /*partial=*/true);
     case ReductionStrategy::kAuto:
       break;
   }

@@ -12,7 +12,10 @@ namespace soi {
 /// minimal subgraph with the same reachability, obtainable by deleting edges
 /// that are implied by longer paths).
 enum class ReductionStrategy {
-  /// Pick kDenseBitset for small DAGs, kDfs otherwise.
+  /// For DAGs of at most dense_limit components, try kDfs first and fall
+  /// back to kDenseBitset when its visit budget (capped at the dense
+  /// strategy's estimated cost) runs out; kDfs otherwise. Always the full
+  /// reduction below dense_limit.
   kAuto,
   /// Skip reduction entirely (ablation baseline; queries stay correct, the
   /// index just stores more edges).

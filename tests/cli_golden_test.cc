@@ -33,6 +33,8 @@
 
 #include <gtest/gtest.h>
 
+#include "test_temp_dir.h"
+
 namespace soi {
 namespace {
 
@@ -84,7 +86,7 @@ std::string GraphFlags() {
 }
 
 TEST(CliGoldenTest, IndexStdoutMatchesGolden) {
-  const std::string out = testing::TempDir() + "cli_golden_index.soiidx";
+  const std::string out = TestTempPath("index.soiidx");
   const CliRun run =
       RunCli("index " + GraphFlags() + " --threads 1 --out '" + out + "'");
   ASSERT_EQ(run.exit_code, 0) << run.stdout_text;
@@ -103,8 +105,8 @@ TEST(CliGoldenTest, IndexStdoutMatchesGolden) {
 TEST(CliGoldenTest, IndexArtifactMatchesGoldenAtOneAndEightThreads) {
   const std::string golden = ReadFileOrDie(GoldenPath("index.soiidx.golden"));
   for (const char* threads : {"1", "8"}) {
-    const std::string out = testing::TempDir() + "cli_golden_index_t" +
-                            threads + ".soiidx";
+    const std::string out =
+        TestTempPath(std::string("index_t") + threads + ".soiidx");
     const CliRun run = RunCli("index " + GraphFlags() + " --threads " +
                               threads + " --out '" + out + "'");
     ASSERT_EQ(run.exit_code, 0) << run.stdout_text;
@@ -116,7 +118,7 @@ TEST(CliGoldenTest, IndexArtifactMatchesGoldenAtOneAndEightThreads) {
 
 TEST(CliGoldenTest, IndexArtifactIdenticalWithMetricsDisabled) {
   const std::string golden = ReadFileOrDie(GoldenPath("index.soiidx.golden"));
-  const std::string out = testing::TempDir() + "cli_golden_index_nm.soiidx";
+  const std::string out = TestTempPath("index_nm.soiidx");
   const CliRun run = RunCli("index " + GraphFlags() +
                             " --threads 1 --no-metrics --out '" + out + "'");
   ASSERT_EQ(run.exit_code, 0) << run.stdout_text;
@@ -223,8 +225,8 @@ double JsonNumberAfter(const std::string& json, const std::string& key,
 }
 
 TEST(CliGoldenTest, MetricsSidecarIsValidAndCoversRuntime) {
-  const std::string out = testing::TempDir() + "cli_golden_cov.soiidx";
-  const std::string metrics = testing::TempDir() + "cli_golden_cov.json";
+  const std::string out = TestTempPath("cov.soiidx");
+  const std::string metrics = TestTempPath("cov.json");
   // More worlds than the golden run so real work dominates process startup
   // and the >= 95% phase-coverage contract is comfortably testable.
   const CliRun run = RunCli(

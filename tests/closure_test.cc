@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +21,7 @@
 #include "runtime/parallel_for.h"
 #include "scc/closure.h"
 #include "scc/condensation.h"
+#include "scc/transitive.h"
 #include "util/rng.h"
 
 namespace soi {
@@ -135,6 +138,146 @@ TEST(ClosureBuildTest, MergeComponentMemberRunsMatchesGatherSort) {
     }
     std::sort(gathered.begin(), gathered.end());
     EXPECT_EQ(merged, gathered);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Child-run reuse vs the from-scratch build.
+// ---------------------------------------------------------------------------
+
+// The from-scratch closure build that BuildReachabilityClosure replaced,
+// kept as the byte-level oracle: per component, gather the whole closure by
+// stamping every successor's closure, sort it, and k-way merge all member
+// runs. Same cap rule: bail before appending a run that would exceed it.
+ReachabilityClosure ReferenceClosure(const Condensation& cond,
+                                     uint64_t max_total_nodes) {
+  const uint32_t nc = cond.num_components();
+  ReachabilityClosure out;
+  out.comp_offsets.push_back(0);
+  out.node_offsets.push_back(0);
+  std::vector<uint32_t> stamp(nc, 0);
+  std::vector<uint32_t> gather;
+  RunMergeScratch scratch;
+  for (uint32_t c = 0; c < nc; ++c) {
+    const uint32_t id = c + 1;
+    gather.assign(1, c);
+    stamp[c] = id;
+    uint64_t cascade_nodes = cond.ComponentSize(c);
+    for (uint32_t s : cond.DagSuccessors(c)) {
+      for (uint32_t x : out.Closure(s)) {
+        if (stamp[x] != id) {
+          stamp[x] = id;
+          gather.push_back(x);
+          cascade_nodes += cond.ComponentSize(x);
+        }
+      }
+    }
+    if (out.nodes.size() + cascade_nodes > max_total_nodes) {
+      return ReachabilityClosure{};
+    }
+    std::sort(gather.begin(), gather.end());
+    out.comps.insert(out.comps.end(), gather.begin(), gather.end());
+    out.comp_offsets.push_back(out.comps.size());
+    MergeComponentMemberRuns(cond, gather, &scratch, &out.nodes);
+    out.node_offsets.push_back(out.nodes.size());
+  }
+  return out;
+}
+
+void ExpectSameClosure(const ReachabilityClosure& got,
+                       const ReachabilityClosure& want) {
+  EXPECT_EQ(got.comp_offsets, want.comp_offsets);
+  EXPECT_EQ(got.comps, want.comps);
+  EXPECT_EQ(got.node_offsets, want.node_offsets);
+  EXPECT_EQ(got.nodes, want.nodes);
+}
+
+// Builds and reduces the condensation of `edges` over n nodes. Node ids are
+// shuffled so member runs of different components interleave.
+Condensation CondenseShuffled(uint32_t n,
+                              std::vector<std::pair<NodeId, NodeId>> edges,
+                              bool reduce, Rng* rng) {
+  std::vector<NodeId> perm(n);
+  for (NodeId v = 0; v < n; ++v) perm[v] = v;
+  for (NodeId v = n; v > 1; --v) std::swap(perm[v - 1], perm[rng->NextBounded(v)]);
+  for (auto& [u, v] : edges) {
+    u = perm[u];
+    v = perm[v];
+  }
+  Condensation cond = Condensation::Build(
+      Csr::FromEdges(n, std::move(edges), /*dedupe=*/true));
+  if (reduce) TransitiveReduce(&cond);
+  return cond;
+}
+
+TEST(ClosureBuildTest, MatchesReferenceOnShapedDags) {
+  Rng rng(21);
+  for (bool reduce : {false, true}) {
+    std::vector<std::pair<std::string, Condensation>> cases;
+    const uint32_t n = 300;
+    std::vector<std::pair<NodeId, NodeId>> chain, diamonds, fan, dense, cyc;
+    for (NodeId v = 1; v < n; ++v) chain.emplace_back(v, v - 1);
+    for (NodeId v = 0; v + 3 < n; v += 3) {  // stacked diamonds
+      diamonds.insert(diamonds.end(),
+                      {{v + 3, v + 1}, {v + 3, v + 2}, {v + 1, v}, {v + 2, v}});
+    }
+    // Wide fan-out: 10 roots over overlapping chain fragments.
+    for (NodeId v = 10; v < n; ++v) {
+      for (NodeId r = 0; r < 10; ++r) {
+        if (rng.NextBounded(2) == 0) fan.emplace_back(r, v);
+      }
+      if (v > 10 && rng.NextBounded(4) == 0) fan.emplace_back(v, v - 1);
+    }
+    for (NodeId u = 1; u < n; ++u) {  // dense DAG: u -> v for v < u
+      for (NodeId v = 0; v < u; ++v) {
+        if (rng.NextBounded(8) == 0) dense.emplace_back(u, v);
+      }
+    }
+    for (uint32_t i = 0; i < 3 * n; ++i) {  // random digraph: SCCs too
+      cyc.emplace_back(static_cast<NodeId>(rng.NextBounded(n)),
+                       static_cast<NodeId>(rng.NextBounded(n)));
+    }
+    cases.emplace_back("chain", CondenseShuffled(n, chain, reduce, &rng));
+    cases.emplace_back("diamonds", CondenseShuffled(n, diamonds, reduce, &rng));
+    cases.emplace_back("fan", CondenseShuffled(n, fan, reduce, &rng));
+    cases.emplace_back("dense", CondenseShuffled(n, dense, reduce, &rng));
+    cases.emplace_back("cyclic", CondenseShuffled(n, cyc, reduce, &rng));
+    for (const auto& [name, cond] : cases) {
+      SCOPED_TRACE(name + (reduce ? " reduced" : " unreduced"));
+      ExpectSameClosure(BuildReachabilityClosure(cond, UINT64_MAX),
+                        ReferenceClosure(cond, UINT64_MAX));
+    }
+  }
+}
+
+TEST(ClosureBuildTest, MatchesReferenceOnIndexWorlds) {
+  for (PropagationModel model : {PropagationModel::kIndependentCascade,
+                                 PropagationModel::kLinearThreshold}) {
+    const ProbGraph g = TestGraph(model);
+    for (bool reduction : {false, true}) {
+      const CascadeIndex index = BuildIndex(g, model, reduction, 0, 16);
+      for (uint32_t i = 0; i < index.num_worlds(); ++i) {
+        SCOPED_TRACE(::testing::Message() << "world " << i);
+        ExpectSameClosure(BuildReachabilityClosure(index.world(i), UINT64_MAX),
+                          ReferenceClosure(index.world(i), UINT64_MAX));
+      }
+    }
+  }
+}
+
+TEST(ClosureBuildTest, CapMatchesReferenceAtTotalAndOneBelow) {
+  const ProbGraph g = TestGraph(PropagationModel::kIndependentCascade);
+  const CascadeIndex index =
+      BuildIndex(g, PropagationModel::kIndependentCascade, true, 0, 8);
+  for (uint32_t i = 0; i < index.num_worlds(); ++i) {
+    const Condensation& cond = index.world(i);
+    const uint64_t total = ReferenceClosure(cond, UINT64_MAX).nodes.size();
+    const ReachabilityClosure at = BuildReachabilityClosure(cond, total);
+    EXPECT_EQ(at.num_components(), cond.num_components());
+    ExpectSameClosure(at, ReferenceClosure(cond, total));
+    const ReachabilityClosure below = BuildReachabilityClosure(cond, total - 1);
+    EXPECT_EQ(below.num_components(), 0u);
+    ExpectSameClosure(below, ReferenceClosure(cond, total - 1));
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "test_temp_dir.h"
 #include "util/flags.h"
 
 namespace soi {
@@ -103,7 +104,7 @@ TEST(FlagParserTest, ArgcArgvEntryPoint) {
 // any expensive work, and validation must not create or truncate anything.
 
 TEST(ValidateWritableOutPathTest, AcceptsFreshFileInWritableDir) {
-  const std::string path = testing::TempDir() + "flags_test_fresh.out";
+  const std::string path = TestTempPath("fresh.out");
   std::remove(path.c_str());
   EXPECT_TRUE(ValidateWritableOutPath(path).ok());
   // Validation must not have created the file.
@@ -112,7 +113,7 @@ TEST(ValidateWritableOutPathTest, AcceptsFreshFileInWritableDir) {
 }
 
 TEST(ValidateWritableOutPathTest, AcceptsExistingFileWithoutTruncating) {
-  const std::string path = testing::TempDir() + "flags_test_existing.out";
+  const std::string path = TestTempPath("existing.out");
   {
     std::ofstream out(path);
     out << "precious";
@@ -146,7 +147,7 @@ TEST(ValidateWritableOutPathTest, RejectsDirectoryAsTarget) {
 }
 
 TEST(ValidateWritableOutPathTest, RejectsFileUsedAsDirectory) {
-  const std::string file = testing::TempDir() + "flags_test_not_a_dir";
+  const std::string file = TestTempPath("not_a_dir");
   {
     std::ofstream out(file);
     out << "x";

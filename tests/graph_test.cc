@@ -7,6 +7,7 @@
 #include "graph/graph_io.h"
 #include "graph/prob_assign.h"
 #include "graph/prob_graph.h"
+#include "test_temp_dir.h"
 #include "util/rng.h"
 
 namespace soi {
@@ -204,8 +205,7 @@ TEST(GraphIoTest, InvalidProbabilityPropagates) {
 
 TEST(GraphIoTest, SaveLoadRoundTrip) {
   const ProbGraph g = SmallGraph();
-  const auto path =
-      std::filesystem::temp_directory_path() / "soi_graph_io_test.txt";
+  const std::filesystem::path path = TestTempPath("graph.txt");
   ASSERT_TRUE(SaveEdgeList(g, path.string()).ok());
   EdgeListOptions options;
   options.num_nodes = g.num_nodes();

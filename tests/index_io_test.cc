@@ -7,6 +7,7 @@
 #include "graph/prob_assign.h"
 #include "index/cascade_index.h"
 #include "index/index_io.h"
+#include "test_temp_dir.h"
 #include "util/rng.h"
 
 namespace soi {
@@ -49,9 +50,7 @@ TEST(IndexIoTest, SerializeDeserializeRoundTrip) {
 
 TEST(IndexIoTest, FileRoundTrip) {
   const CascadeIndex index = MakeIndex(8, 2);
-  const auto path =
-      (std::filesystem::temp_directory_path() / "soi_index_io_test.idx")
-          .string();
+  const std::string path = TestTempPath("index.idx");
   ASSERT_TRUE(SaveCascadeIndex(index, path).ok());
   const auto loaded = LoadCascadeIndex(path);
   ASSERT_TRUE(loaded.ok());

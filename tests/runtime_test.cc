@@ -1,5 +1,7 @@
 #include <atomic>
 #include <cstdint>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -107,6 +109,38 @@ TEST(ParallelForTest, NestedLoopsRunInline) {
     ParallelFor(0, 8, 1, [&](uint64_t) { hits.fetch_add(1); });
   });
   EXPECT_EQ(hits.load(), 64u);
+}
+
+// The calling thread's lane holds a mutex that every pool worker's lane is
+// blocked on, and opens a nested region under it (Engine::RunBatch taking
+// the typical-cascade lock inside a parallel batch). No worker is free for
+// the nested region's helper tasks, so the caller must run its chunks and
+// return on chunk completion instead of waiting for those helpers.
+TEST(ParallelForTest, NestedRegionUnderLockHeldAgainstEveryWorker) {
+  ThreadsGuard guard(4);
+  const uint32_t workers = GlobalPool()->num_threads();
+  std::mutex mu;
+  std::atomic<bool> caller_locked{false};
+  std::atomic<uint32_t> blocked{0};
+  std::atomic<uint32_t> nested_hits{0};
+  // One chunk per lane; a worker holds its chunk until the caller has the
+  // lock, so the caller is left exactly one chunk to claim.
+  ParallelFor(0, workers + 1, 1, [&](uint64_t) {
+    if (GlobalPool()->InWorker()) {
+      while (!caller_locked.load()) std::this_thread::yield();
+      blocked.fetch_add(1);
+      std::lock_guard<std::mutex> lock(mu);
+      return;
+    }
+    std::lock_guard<std::mutex> lock(mu);
+    caller_locked.store(true);
+    // Every worker is blocked (or about to block) on `mu`; the nested
+    // region's helper tasks queue behind them.
+    while (blocked.load() < workers) std::this_thread::yield();
+    ParallelFor(0, 16, 1, [&](uint64_t) { nested_hits.fetch_add(1); });
+  });
+  EXPECT_EQ(nested_hits.load(), 16u);
+  EXPECT_EQ(blocked.load(), workers);
 }
 
 TEST(RngForkTest, StreamForkIsStableAndDoesNotAdvance) {

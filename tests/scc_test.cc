@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -226,6 +227,91 @@ TEST(ReductionTest, StrategiesAgreeOnEdgeCount) {
     EXPECT_EQ(dense_cond.dag().offsets, dfs_cond.dag().offsets);
     EXPECT_EQ(dense_cond.dag().targets, dfs_cond.dag().targets);
   }
+}
+
+// A random DAG over n nodes (every edge runs from a higher to a lower id),
+// each pair linked with probability 1/inv_density.
+Csr RandomDag(uint32_t n, uint32_t inv_density, Rng* rng) {
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (NodeId u = 1; u < n; ++u) {
+    for (NodeId v = 0; v < u; ++v) {
+      if (rng->NextBounded(inv_density) == 0) edges.emplace_back(u, v);
+    }
+  }
+  return MakeCsr(n, std::move(edges));
+}
+
+void ExpectSameDag(const Condensation& a, const Condensation& b) {
+  EXPECT_EQ(a.dag().offsets, b.dag().offsets);
+  EXPECT_EQ(a.dag().targets, b.dag().targets);
+}
+
+TEST(ReductionTest, AutoMatchesDenseOnRandomDags) {
+  // kAuto reduces by DFS first on DAGs this small; the reduction is unique,
+  // so its CSR must equal the dense strategy's byte for byte.
+  Rng rng(17);
+  for (uint32_t inv_density : {400u, 60u, 8u, 2u}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      const Csr g = RandomDag(200, inv_density, &rng);
+      Condensation dense_cond = Condensation::Build(g);
+      Condensation auto_cond = Condensation::Build(g);
+      ReductionOptions dense_opts;
+      dense_opts.strategy = ReductionStrategy::kDenseBitset;
+      const ReductionStats dense = TransitiveReduce(&dense_cond, dense_opts);
+      const ReductionStats autos = TransitiveReduce(&auto_cond);
+      EXPECT_FALSE(autos.truncated);
+      EXPECT_EQ(autos.edges_before, dense.edges_before);
+      EXPECT_EQ(autos.edges_after, dense.edges_after);
+      ExpectSameDag(auto_cond, dense_cond);
+      // Rows are laid out as Csr::FromEdges lays out the same edges.
+      std::vector<std::pair<NodeId, NodeId>> kept;
+      for (uint32_t c = 0; c < auto_cond.num_components(); ++c) {
+        for (uint32_t v : auto_cond.DagSuccessors(c)) kept.emplace_back(c, v);
+      }
+      const Csr relaid = Csr::FromEdges(auto_cond.num_components(),
+                                        std::move(kept), /*dedupe=*/false);
+      EXPECT_EQ(auto_cond.dag().targets, relaid.targets);
+    }
+  }
+}
+
+TEST(ReductionTest, AutoFallsBackToDenseWhenDfsBudgetRunsOut) {
+  // Every node reaches all lower ones through v -> v-1, and the skip edges
+  // v -> v-2, v -> v-3 are redundant: a DFS from each kept child walks the
+  // whole chain below it, far past both budgets below.
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  const uint32_t n = 600;
+  for (NodeId v = 1; v < n; ++v) {
+    for (NodeId k = 1; k <= 3 && k <= v; ++k) edges.emplace_back(v, v - k);
+  }
+  const Csr g = MakeCsr(n, std::move(edges));
+  Condensation dense_cond = Condensation::Build(g);
+  ReductionOptions dense_opts;
+  dense_opts.strategy = ReductionStrategy::kDenseBitset;
+  TransitiveReduce(&dense_cond, dense_opts);
+  ASSERT_EQ(dense_cond.num_dag_edges(), n - 1);
+
+  // The explicit option budget: kDfs would stop early and keep shortcuts.
+  Condensation dfs_cond = Condensation::Build(g);
+  ReductionOptions dfs_opts;
+  dfs_opts.strategy = ReductionStrategy::kDfs;
+  dfs_opts.dfs_visit_budget = 1;
+  EXPECT_TRUE(TransitiveReduce(&dfs_cond, dfs_opts).truncated);
+  EXPECT_GT(dfs_cond.num_dag_edges(), n - 1);
+
+  Condensation auto_cond = Condensation::Build(g);
+  ReductionOptions auto_opts;
+  auto_opts.dfs_visit_budget = 1;
+  const ReductionStats stats = TransitiveReduce(&auto_cond, auto_opts);
+  EXPECT_FALSE(stats.truncated);
+  EXPECT_EQ(stats.edges_after, n - 1);
+  ExpectSameDag(auto_cond, dense_cond);
+
+  // The default budget, capped by the dense footprint (n^2 / 2 visits of
+  // DFS against n * ceil(n / 64) / 2 allowed).
+  Condensation default_cond = Condensation::Build(g);
+  EXPECT_FALSE(TransitiveReduce(&default_cond).truncated);
+  ExpectSameDag(default_cond, dense_cond);
 }
 
 TEST(ReductionTest, RemovesShortcutEdge) {

@@ -31,6 +31,7 @@
 #include "snapshot/format.h"
 #include "snapshot/reader.h"
 #include "snapshot/writer.h"
+#include "test_temp_dir.h"
 #include "util/rng.h"
 
 namespace soi {
@@ -62,10 +63,6 @@ CascadeIndex BuildIndex(const ProbGraph& graph, PropagationModel model,
   auto index = CascadeIndex::Build(graph, options, &rng);
   SOI_CHECK(index.ok());
   return std::move(index).value();
-}
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
 }
 
 void WriteBytes(const std::string& path, const std::string& bytes) {
@@ -127,7 +124,7 @@ TEST(SnapshotRoundTrip, GraphIndexAndClosuresSurvive) {
   const CascadeIndex index =
       BuildIndex(graph, PropagationModel::kIndependentCascade);
   ASSERT_TRUE(index.has_closure_cache());
-  const std::string path = TempPath("roundtrip.soisnap");
+  const std::string path = TestTempPath("roundtrip.soisnap");
   ASSERT_TRUE(WriteSnapshot(graph, index, path, {}).ok());
 
   auto snap = Snapshot::Open(path, SnapshotValidation::kFull);
@@ -182,7 +179,7 @@ TEST(SnapshotRoundTrip, TypicalTableAndModelFlagSurvive) {
   auto sweep = computer.ComputeAllFlat();
   ASSERT_TRUE(sweep.ok());
 
-  const std::string path = TempPath("typical.soisnap");
+  const std::string path = TestTempPath("typical.soisnap");
   SnapshotWriteOptions options;
   options.model = PropagationModel::kLinearThreshold;
   options.typical = &sweep->cascades;
@@ -201,7 +198,7 @@ TEST(SnapshotRoundTrip, BorrowedIndexSerializesIdenticallyToOwned) {
   const ProbGraph graph = RandomGraph(50, 250, 9);
   const CascadeIndex index =
       BuildIndex(graph, PropagationModel::kIndependentCascade);
-  const std::string path = TempPath("reserialize.soisnap");
+  const std::string path = TestTempPath("reserialize.soisnap");
   ASSERT_TRUE(WriteSnapshot(graph, index, path, {}).ok());
   auto snap = Snapshot::Open(path);
   ASSERT_TRUE(snap.ok());
@@ -255,7 +252,7 @@ TEST(SnapshotEngineTest, ResponsesByteIdenticalToOwnedEngineAcrossThreads) {
     TypicalCascadeComputer computer(&*index);
     auto sweep = computer.ComputeAllFlat();
     ASSERT_TRUE(sweep.ok());
-    const std::string path = TempPath("engine.soisnap");
+    const std::string path = TestTempPath("engine.soisnap");
     SnapshotWriteOptions write_options;
     write_options.model = model;
     write_options.typical = &sweep->cascades;
@@ -320,7 +317,7 @@ class SnapshotCorruptionTest : public ::testing::Test {
   void ExpectOpenFails(const std::string& bytes, const std::string& needle,
                        SnapshotValidation validation =
                            SnapshotValidation::kStructural) {
-    const std::string path = TempPath("corrupt.soisnap");
+    const std::string path = TestTempPath("corrupt.soisnap");
     WriteBytes(path, bytes);
     auto snap = Snapshot::Open(path, validation);
     ASSERT_FALSE(snap.ok()) << "expected failure mentioning: " << needle;
@@ -336,7 +333,7 @@ class SnapshotCorruptionTest : public ::testing::Test {
 };
 
 TEST_F(SnapshotCorruptionTest, PristineBytesPassFullValidation) {
-  const std::string path = TempPath("pristine.soisnap");
+  const std::string path = TestTempPath("pristine.soisnap");
   WriteBytes(path, bytes_);
   EXPECT_TRUE(Snapshot::Open(path, SnapshotValidation::kFull).ok());
 }
@@ -399,7 +396,7 @@ TEST_F(SnapshotCorruptionTest, PayloadBitRotCaughtByFullValidationOnly) {
   const SectionEntry probs = FindSection(bytes_, SectionKind::kGraphProbs);
   std::string bad = bytes_;
   bad[probs.offset + probs.byte_size / 2] ^= 0x01;
-  const std::string path = TempPath("bitrot.soisnap");
+  const std::string path = TestTempPath("bitrot.soisnap");
   WriteBytes(path, bad);
   EXPECT_TRUE(Snapshot::Open(path, SnapshotValidation::kStructural).ok());
   ExpectOpenFails(bad, "payload checksum mismatch", SnapshotValidation::kFull);
@@ -418,7 +415,7 @@ TEST_F(SnapshotCorruptionTest, OutOfRangeIdsAreCaughtStructurally) {
 }
 
 TEST_F(SnapshotCorruptionTest, MissingFileIsAnIOErrorNotACrash) {
-  auto snap = Snapshot::Open(TempPath("does-not-exist.soisnap"));
+  auto snap = Snapshot::Open(TestTempPath("does-not-exist.soisnap"));
   ASSERT_FALSE(snap.ok());
   EXPECT_EQ(snap.status().code(), StatusCode::kIOError)
       << snap.status().ToString();
@@ -432,7 +429,7 @@ TEST(SnapshotFreshnessTest, FingerprintRoundTripsThroughTheFile) {
   const ProbGraph graph = RandomGraph(30, 150, 23);
   const CascadeIndex index =
       BuildIndex(graph, PropagationModel::kIndependentCascade);
-  const std::string path = TempPath("fingerprint.soisnap");
+  const std::string path = TestTempPath("fingerprint.soisnap");
   ASSERT_TRUE(WriteSnapshot(graph, index, path, {}).ok());
   auto snap = Snapshot::Open(path);
   ASSERT_TRUE(snap.ok());
@@ -447,7 +444,7 @@ TEST(SnapshotFreshnessTest, MatchingGraphPassesMutatedGraphIsRejected) {
   const ProbGraph graph = RandomGraph(30, 150, 23);
   const CascadeIndex index =
       BuildIndex(graph, PropagationModel::kIndependentCascade);
-  const std::string path = TempPath("freshness.soisnap");
+  const std::string path = TestTempPath("freshness.soisnap");
   ASSERT_TRUE(WriteSnapshot(graph, index, path, {}).ok());
   auto snap = Snapshot::Open(path);
   ASSERT_TRUE(snap.ok());
@@ -497,7 +494,7 @@ TEST(SnapshotFreshnessTest, LegacyZeroFingerprintIsAccepted) {
       sizeof(SnapshotHeader) + header.section_count * sizeof(SectionEntry));
   std::memcpy(bytes.data() + offsetof(SnapshotHeader, header_crc32c), &crc,
               sizeof(crc));
-  const std::string path = TempPath("legacy.soisnap");
+  const std::string path = TestTempPath("legacy.soisnap");
   WriteBytes(path, bytes);
 
   auto snap = Snapshot::Open(path);
@@ -536,7 +533,7 @@ TEST(SnapshotPackedTest, PackedFileIsSmallerAndAnswersIdentically) {
 
   for (const bool pack : {true, false}) {
     const std::string path =
-        TempPath(pack ? "packed.soisnap" : "unpacked.soisnap");
+        TestTempPath(pack ? "packed.soisnap" : "unpacked.soisnap");
     WriteBytes(path, pack ? *packed_bytes : *raw_bytes);
     auto snap = Snapshot::Open(path, SnapshotValidation::kFull);
     ASSERT_TRUE(snap.ok()) << snap.status().ToString();
@@ -574,7 +571,7 @@ TEST(SnapshotPackedTest, WriterReencodesTypicalAcrossEncodings) {
   auto sweep = computer.ComputeAllFlat();
   ASSERT_TRUE(sweep.ok());
 
-  const std::string packed_path = TempPath("reencode-packed.soisnap");
+  const std::string packed_path = TestTempPath("reencode-packed.soisnap");
   SnapshotWriteOptions options;
   options.typical = &sweep->cascades;  // raw in, packed file out
   ASSERT_TRUE(WriteSnapshot(graph, index, packed_path, options).ok());
@@ -583,7 +580,7 @@ TEST(SnapshotPackedTest, WriterReencodesTypicalAcrossEncodings) {
   const FlatSets borrowed_packed = (*packed_snap)->MakeTypical();
   EXPECT_TRUE(borrowed_packed.packed());
 
-  const std::string raw_path = TempPath("reencode-raw.soisnap");
+  const std::string raw_path = TestTempPath("reencode-raw.soisnap");
   SnapshotWriteOptions raw_options;
   raw_options.typical = &borrowed_packed;  // packed in, raw file out
   raw_options.pack = false;
@@ -621,7 +618,7 @@ TEST(SnapshotTieredTest, MixedTierIndexRoundTripsExactly) {
   ASSERT_GT(n_mat, 0u);
   ASSERT_GT(n_lab, 0u);
 
-  const std::string path = TempPath("tiered.soisnap");
+  const std::string path = TestTempPath("tiered.soisnap");
   ASSERT_TRUE(WriteSnapshot(graph, index, path, {}).ok());
   auto snap = Snapshot::Open(path, SnapshotValidation::kFull);
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
@@ -667,7 +664,7 @@ TEST(SnapshotTieredTest, AllLabelsIndexRoundTrips) {
                                  ClosureTierPolicy::kLabels);
   ASSERT_EQ(index.stats().worlds_labeled, index.num_worlds());
 
-  const std::string path = TempPath("all-labels.soisnap");
+  const std::string path = TestTempPath("all-labels.soisnap");
   ASSERT_TRUE(WriteSnapshot(graph, index, path, {}).ok());
   auto snap = Snapshot::Open(path, SnapshotValidation::kFull);
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
@@ -707,7 +704,7 @@ TEST(SnapshotVersionTest, NewerMinorVersionIsTolerated) {
       sizeof(SnapshotHeader) + header.section_count * sizeof(SectionEntry));
   std::memcpy(bytes.data() + offsetof(SnapshotHeader, header_crc32c), &crc,
               sizeof(crc));
-  const std::string path = TempPath("future-minor.soisnap");
+  const std::string path = TestTempPath("future-minor.soisnap");
   WriteBytes(path, bytes);
   auto snap = Snapshot::Open(path, SnapshotValidation::kFull);
   EXPECT_TRUE(snap.ok()) << snap.status().ToString();
@@ -729,7 +726,7 @@ class SnapshotTieredCorruptionTest : public SnapshotCorruptionTest {
 };
 
 TEST_F(SnapshotTieredCorruptionTest, PristineTieredBytesPassFullValidation) {
-  const std::string path = TempPath("tiered-pristine.soisnap");
+  const std::string path = TestTempPath("tiered-pristine.soisnap");
   WriteBytes(path, bytes_);
   auto snap = Snapshot::Open(path, SnapshotValidation::kFull);
   EXPECT_TRUE(snap.ok()) << snap.status().ToString();
@@ -803,7 +800,7 @@ TEST(SnapshotSketchTest, SketchSectionsRoundTripExactly) {
       BuildIndex(graph, PropagationModel::kIndependentCascade);
   auto built = SketchSpreadOracle::BuildDeterministic(index, 16, 1);
   ASSERT_TRUE(built.ok());
-  const std::string path = TempPath("sketches.soisnap");
+  const std::string path = TestTempPath("sketches.soisnap");
   WriteBytes(path, SnapshotBytesWithSketches(graph, index, *built));
 
   auto snap = Snapshot::Open(path, SnapshotValidation::kFull);
@@ -832,7 +829,7 @@ TEST(SnapshotSketchTest, SnapshotWithoutSketchesReportsNone) {
   const ProbGraph graph = RandomGraph(30, 150, 32);
   const CascadeIndex index =
       BuildIndex(graph, PropagationModel::kIndependentCascade);
-  const std::string path = TempPath("no-sketches.soisnap");
+  const std::string path = TestTempPath("no-sketches.soisnap");
   WriteBytes(path, SnapshotBytes(graph, index));
   auto snap = Snapshot::Open(path);
   ASSERT_TRUE(snap.ok());
@@ -863,7 +860,7 @@ TEST(SnapshotSketchTest, AdoptedEngineMatchesOwnedEngineAcrossThreads) {
     auto sketches =
         SketchSpreadOracle::BuildDeterministic(*index, 16, options.seed);
     ASSERT_TRUE(sketches.ok());
-    const std::string path = TempPath("sketch-engine.soisnap");
+    const std::string path = TestTempPath("sketch-engine.soisnap");
     WriteBytes(path, SnapshotBytesWithSketches(graph, *index, *sketches,
                                                model));
 
@@ -932,7 +929,7 @@ class SnapshotSketchCorruptionTest : public ::testing::Test {
   }
 
   void ExpectOpenFails(const std::string& bytes, const std::string& needle) {
-    const std::string path = TempPath("sketch-corrupt.soisnap");
+    const std::string path = TestTempPath("sketch-corrupt.soisnap");
     WriteBytes(path, bytes);
     auto snap = Snapshot::Open(path);
     ASSERT_FALSE(snap.ok()) << "expected failure mentioning: " << needle;
@@ -948,7 +945,7 @@ class SnapshotSketchCorruptionTest : public ::testing::Test {
 };
 
 TEST_F(SnapshotSketchCorruptionTest, PristineSketchBytesPassFullValidation) {
-  const std::string path = TempPath("sketch-pristine.soisnap");
+  const std::string path = TestTempPath("sketch-pristine.soisnap");
   WriteBytes(path, bytes_);
   EXPECT_TRUE(Snapshot::Open(path, SnapshotValidation::kFull).ok());
 }
