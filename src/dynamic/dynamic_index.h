@@ -54,8 +54,9 @@ struct UpdateStats {
 /// budget: affected worlds' closures are recomputed; if the patched total
 /// would exceed the budget the whole cache is dropped (queries fall back to
 /// traversal, byte-identical answers) and stays dropped until a full
-/// rebuild. The serialized index (index/index_io.h) never includes
-/// closures, so rebuild equivalence of the bytes is unaffected.
+/// rebuild. Rebuild equivalence is stated over the condensations
+/// (Condensation::operator==, world by world), which the cache policy never
+/// touches.
 ///
 /// Thread-safety: none. The service layer serializes updates against
 /// queries (service::Engine holds a shared_mutex); standalone users must do

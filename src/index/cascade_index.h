@@ -72,18 +72,6 @@ ClosureTierPolicy DefaultClosureTierPolicy();
 bool ParseClosureTierPolicy(const char* name, ClosureTierPolicy* out);
 const char* ClosureTierPolicyName(ClosureTierPolicy policy);
 
-/// Whether an index (re)assembly path should recompute the per-world
-/// reachability-closure cache. The cache is derived data: rebuilding it on
-/// every load is correct but costs the full reverse-topological sweep and
-/// charges the load-time memory budget — exactly what snapshot loading must
-/// avoid (the snapshot carries the closures pre-materialized; see
-/// src/snapshot/). kSkip leaves the cache empty (traversal fallback paths,
-/// byte-identical results) unless the caller attaches closures explicitly.
-enum class RebuildClosures {
-  kRebuild,
-  kSkip,
-};
-
 /// Options for index construction.
 struct CascadeIndexOptions {
   /// Number of sampled possible worlds l. Theorem 2: a constant number of
@@ -113,9 +101,9 @@ struct CascadeIndexStats {
   double avg_dag_edges_before = 0.0;
   double avg_dag_edges_after = 0.0;
   /// Estimated resident bytes of the index payload: condensations plus the
-  /// retained reachability cache (closures + labels). Build and FromWorlds
-  /// use one shared accounting, so a saved-then-loaded index reports the
-  /// same approx_bytes it was built with.
+  /// retained reachability cache (closures + labels). Every construction
+  /// path uses one shared accounting, so a snapshot-loaded index reports
+  /// the same approx_bytes it was built with.
   uint64_t approx_bytes = 0;
   /// Bytes of the retained materialized closures (0 when none).
   uint64_t closure_bytes = 0;
@@ -200,19 +188,13 @@ class CascadeIndex {
                                     const CascadeIndexOptions& options,
                                     Rng* rng);
 
-  /// Reassembles an index from prebuilt condensations (deserialization path;
-  /// see index/index_io.h). All condensations must cover `num_nodes` nodes.
-  /// The closure cache is derived data and is never serialized by the legacy
-  /// format; with `rebuild == kRebuild` it is recomputed here under
-  /// `closure_budget_mb` (default: same env-driven budget as Build), so
-  /// loaded indexes answer queries at cached speed. Pass kSkip when the
-  /// caller provides closures from elsewhere (snapshot mmap) or wants pure
-  /// traversal paths — the rebuild sweep and its budget charge are skipped
-  /// entirely.
+  /// Assembles an index from prebuilt condensations (all covering
+  /// `num_nodes` nodes) and builds the reachability cache under
+  /// `closure_budget_mb` and `tier_policy`, exactly as Build does after
+  /// sampling (DynamicIndex::Build's path).
   static Result<CascadeIndex> FromWorlds(
       NodeId num_nodes, std::vector<Condensation> worlds,
       uint64_t closure_budget_mb = DefaultClosureBudgetMb(),
-      RebuildClosures rebuild = RebuildClosures::kRebuild,
       ClosureTierPolicy tier_policy = DefaultClosureTierPolicy());
 
   /// Assembles an index from prebuilt condensations AND prebuilt
@@ -220,16 +202,13 @@ class CascadeIndex {
   /// borrows spans into one mmap'd file, so assembly is O(num_worlds)
   /// bookkeeping — no sampling, no SCC runs, no closure sweep).
   ///
-  /// With `tiers` empty the legacy two-state contract applies: `closures`
-  /// must be empty (all worlds traverse) or have exactly one closure per
-  /// world (all worlds materialized). With `tiers` given (one per world),
-  /// `closures`/`labels` are indexed per world and must be populated — with
-  /// matching component counts — exactly where the tier says so.
+  /// `tiers` holds one tier per world; `closures`/`labels` are either empty
+  /// or indexed per world, and must be populated — with matching component
+  /// counts — exactly where the tier says so.
   static Result<CascadeIndex> FromParts(
       NodeId num_nodes, std::vector<Condensation> worlds,
       std::vector<ReachabilityClosure> closures,
-      std::vector<ReachLabels> labels = {},
-      std::vector<WorldTier> tiers = {});
+      std::vector<ReachLabels> labels, std::vector<WorldTier> tiers);
 
   uint32_t num_worlds() const { return static_cast<uint32_t>(worlds_.size()); }
   NodeId num_nodes() const { return num_nodes_; }
@@ -331,7 +310,7 @@ class CascadeIndex {
   /// closure_bytes from the current worlds and closures after a patch
   /// batch. Pre-reduction DAG edge counts are not observable here, so
   /// avg_dag_edges_before is reported equal to the stored count (the same
-  /// convention as FromWorlds).
+  /// convention as FromWorlds and FromParts).
   void RecomputeStats();
 
   /// Validates a query seed set: non-empty, every id < num_nodes(). The
@@ -406,15 +385,21 @@ class CascadeIndex {
                          CascadeArena* arena) const;
 
  private:
+  // Validates prebuilt worlds and sets up an index over them with every
+  // world on the traversal tier and the shared stats filled in — the part
+  // FromWorlds and FromParts have in common.
+  static Result<CascadeIndex> Assemble(NodeId num_nodes,
+                                       std::vector<Condensation> worlds);
+
   // Appends the cascade of `seeds` in world i to *out (sorted ascending).
   void CascadeInto(std::span<const NodeId> seeds, uint32_t i, Workspace* ws,
                    std::vector<NodeId>* out) const;
 
   // Fills avg_components / avg_dag_edges_after / approx_bytes from worlds_
-  // (one accounting shared by Build and FromWorlds; closure bytes are added
+  // (one accounting shared by Build and Assemble; closure bytes are added
   // by BuildClosureCache). Leaves avg_dag_edges_before to the caller: only
-  // Build observes pre-reduction edge counts, FromWorlds sets it equal to
-  // the stored (post-reduction) count.
+  // Build observes pre-reduction edge counts, Assemble sets it equal to the
+  // stored (post-reduction) count.
   void ComputeSharedStats();
 
   // Assigns every world its storage tier under `budget_bytes` and `policy`
@@ -442,6 +427,12 @@ class CascadeIndex {
   uint32_t num_labeled_ = 0;
   CascadeIndexStats stats_;
 };
+
+/// True when `a` and `b` cover the same nodes and hold equal condensations
+/// world by world (Condensation::operator==). Reachability tiers are derived
+/// data and not compared: this is the rebuild-equivalence check for indexes
+/// maintained incrementally or loaded from a snapshot.
+bool SameWorlds(const CascadeIndex& a, const CascadeIndex& b);
 
 }  // namespace soi
 

@@ -4,7 +4,6 @@
 #include <cerrno>
 #include <cstring>
 #include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -13,7 +12,6 @@
 #include <memory>
 #include <string>
 
-#include "obs/metrics.h"
 #include "service/event_loop.h"
 
 namespace soi::service {
@@ -56,10 +54,11 @@ Status ServeStreamImpl(Engine* engine, const EngineHandle* handle, int in_fd,
   return loop.ServePair(in_fd, out_fd);
 }
 
-// Creates the bound, listening socket on 127.0.0.1:`port` and reports the
-// chosen port (both to `*bound_port` and the on_listening callback).
-Status OpenListener(uint16_t port, const ServeOptions& options,
-                    uint16_t* bound_port, int* listen_fd_out) {
+// Binds and listens on 127.0.0.1:`port`, reports the chosen port (both to
+// `*bound_port` and the on_listening callback), then runs the event loop
+// over the listener.
+Status ServeTcpAny(Engine* engine, const EngineHandle* handle, uint16_t port,
+                   const ServeOptions& options, uint16_t* bound_port) {
   const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd < 0) {
     return Status::IOError(std::string("socket failed: ") +
@@ -93,14 +92,6 @@ Status OpenListener(uint16_t port, const ServeOptions& options,
     return status;
   }
   if (options.on_listening) options.on_listening(ntohs(addr.sin_port));
-  *listen_fd_out = listen_fd;
-  return Status::OK();
-}
-
-Status ServeTcpAny(Engine* engine, const EngineHandle* handle, uint16_t port,
-                   const ServeOptions& options, uint16_t* bound_port) {
-  int listen_fd = -1;
-  SOI_RETURN_IF_ERROR(OpenListener(port, options, bound_port, &listen_fd));
   EventLoop loop(engine, handle, MakeLoopOptions(engine, handle, options));
   return loop.ServeListener(listen_fd, options.max_connections);
 }
@@ -137,42 +128,6 @@ Status ServeTcp(const EngineHandle* handle, uint16_t port,
     return Status::InvalidArgument("engine handle must not be null");
   }
   return ServeTcpAny(nullptr, handle, port, options, bound_port);
-}
-
-Status ServeTcpSequential(Engine* engine, uint16_t port,
-                          const ServeOptions& options, uint16_t* bound_port) {
-  if (engine == nullptr) {
-    return Status::InvalidArgument("engine must not be null");
-  }
-  int listen_fd = -1;
-  SOI_RETURN_IF_ERROR(OpenListener(port, options, bound_port, &listen_fd));
-  uint32_t served = 0;
-  while (options.max_connections == 0 || served < options.max_connections) {
-    const int conn_fd = ::accept(listen_fd, nullptr, nullptr);
-    if (conn_fd < 0) {
-      if (errno == EINTR) {
-        if (options.poll) options.poll();
-        continue;
-      }
-      const Status status = Status::IOError(std::string("accept failed: ") +
-                                            std::strerror(errno));
-      ::close(listen_fd);
-      return status;
-    }
-    SOI_OBS_COUNTER_ADD("service/connections", 1);
-    const Status status =
-        ServeStreamImpl(engine, nullptr, conn_fd, conn_fd, options);
-    ::close(conn_fd);
-    ++served;
-    if (options.poll) options.poll();
-    if (!status.ok()) {
-      // One broken connection does not stop the server; log via metrics and
-      // keep accepting.
-      SOI_OBS_COUNTER_ADD("service/connections_failed", 1);
-    }
-  }
-  ::close(listen_fd);
-  return Status::OK();
 }
 
 }  // namespace soi::service

@@ -141,8 +141,10 @@ Status Snapshot::Validate(const std::string& path,
 
   if (std::memcmp(header_.magic, kSnapshotMagic, sizeof(kSnapshotMagic)) !=
       0) {
-    return Invalid(path, "wrong magic: not a soi-snap file (expected "
-                         "\"SOISNAP1\"); is this a legacy SOIIDX index?");
+    return Invalid(path,
+                   "wrong magic: not a soi-snap file (expected \"SOISNAP1\"). "
+                   "Legacy SOIIDX indexes are no longer readable; regenerate "
+                   "the file with `soi_cli index`");
   }
   if (header_.endian_tag != kSnapshotEndianTag) {
     if (header_.endian_tag == 0x04030201u) {
@@ -751,16 +753,13 @@ Result<CascadeIndex> Snapshot::MakeIndex() const {
   const auto dag_tgt = View<uint32_t>(SectionKind::kDagTargets);
   std::vector<Condensation> worlds;
   worlds.reserve(w);
-  std::vector<WorldTier> tiers;
+  // Untiered v1.0 files hold all worlds materialized or none retained.
+  std::vector<WorldTier> tiers(w, info_.has_closures ? WorldTier::kMaterialized
+                                                     : WorldTier::kTraversal);
   std::vector<ReachabilityClosure> closures;
   std::vector<ReachLabels> labels;
-  if (tiered) {
-    tiers.resize(w);
-    if (info_.has_closures) closures.resize(w);
-    if (info_.has_labels) labels.resize(w);
-  } else if (info_.has_closures) {
-    closures.reserve(w);
-  }
+  if (info_.has_closures) closures.resize(w);
+  if (info_.has_labels) labels.resize(w);
   // Cumulative bases for the tiered pools, mirroring Validate()'s scan.
   uint64_t c_off_base = 0;
   uint64_t lab_off_base = 0, lab_bounds_base = 0, lab_rn_base = 0;
@@ -774,12 +773,11 @@ Result<CascadeIndex> Snapshot::MakeIndex() const {
         dag_off.subspan(rec.offsets_base, nc + 1),
         dag_tgt.subspan(rec.dag_targets_base,
                         next.dag_targets_base - rec.dag_targets_base)));
-    const WorldTier tier =
-        tiered ? static_cast<WorldTier>(
-                     View<uint32_t>(SectionKind::kTierTable)[i])
-               : (info_.has_closures ? WorldTier::kMaterialized
-                                     : WorldTier::kTraversal);
-    if (tiered) tiers[i] = tier;
+    if (tiered) {
+      tiers[i] =
+          static_cast<WorldTier>(View<uint32_t>(SectionKind::kTierTable)[i]);
+    }
+    const WorldTier tier = tiers[i];
     if (tier == WorldTier::kMaterialized) {
       const uint64_t co_base = tiered ? c_off_base : rec.offsets_base;
       const auto cco = View<uint64_t>(SectionKind::kClosureCompOffsets)
@@ -820,12 +818,8 @@ Result<CascadeIndex> Snapshot::MakeIndex() const {
           n_pos = nodes_run.pos();
         }
       }
-      if (tiered) {
-        closures[i] = std::move(cl);
-        c_off_base += nc + 1;
-      } else {
-        closures.push_back(std::move(cl));
-      }
+      closures[i] = std::move(cl);
+      if (tiered) c_off_base += nc + 1;
     } else if (tier == WorldTier::kLabels) {
       const auto loff = View<uint64_t>(SectionKind::kLabelOffsets)
                             .subspan(lab_off_base, nc + 1);

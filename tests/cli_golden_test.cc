@@ -2,7 +2,8 @@
 // artifacts of `index`, `typical`, and `infmax --method tc` at a fixed seed
 // against checked-in goldens (tests/golden/), and asserts the determinism
 // contract the runtime promises — identical output at --threads 1 and
-// --threads 8, with metrics enabled and disabled.
+// --threads 8, with metrics enabled and disabled. The `index` artifact is a
+// soi-snap file pinned by its SHA-256 (index.soisnap.sha256).
 //
 // The binary under test and the fixture directory come in as compile
 // definitions (SOI_CLI_PATH, SOI_GOLDEN_DIR) from tests/CMakeLists.txt.
@@ -11,9 +12,10 @@
 // tests/golden/):
 //   soi_cli gen --config Twitter-S --scale 0.08 --seed 5 --out graph.txt
 //   soi_cli index   --graph graph.txt --worlds 64 --seed 1 --threads 1 \
-//       --out index.soiidx.golden > index.stdout.raw
+//       --out index.soisnap > index.stdout.raw
 //   sed 's/[0-9]*\.[0-9][0-9]s build/<TIME>s build/' index.stdout.raw \
 //       > index.stdout.golden && rm index.stdout.raw
+//   sha256sum index.soisnap > index.soisnap.sha256 && rm index.soisnap
 //   soi_cli typical --graph graph.txt --worlds 64 --seed 1 --threads 1 \
 //       > typical.stdout.golden
 //   soi_cli infmax  --graph graph.txt --method tc --k 8 --worlds 64 \
@@ -55,12 +57,8 @@ struct CliRun {
   std::string stdout_text;
 };
 
-// Runs soi_cli with `args`, capturing stdout (stderr is dropped: it carries
-// only the "metrics: ..." notices and warnings, which are not part of the
-// golden contract).
-CliRun RunCli(const std::string& args) {
-  const std::string command =
-      std::string("'") + SOI_CLI_PATH + "' " + args + " 2>/dev/null";
+// Runs `command` through the shell, capturing its stdout.
+CliRun RunShell(const std::string& command) {
   CliRun run;
   std::FILE* pipe = popen(command.c_str(), "r");
   if (pipe == nullptr) return run;
@@ -74,6 +72,23 @@ CliRun RunCli(const std::string& args) {
   return run;
 }
 
+// Runs soi_cli with `args`, capturing stdout (stderr is dropped: it carries
+// only the "metrics: ..." notices and warnings, which are not part of the
+// golden contract).
+CliRun RunCli(const std::string& args) {
+  return RunShell(std::string("'") + SOI_CLI_PATH + "' " + args +
+                  " 2>/dev/null");
+}
+
+// The first 64 characters of `sha256sum` output: the hex digest.
+std::string Sha256Hex(const std::string& text) { return text.substr(0, 64); }
+
+std::string Sha256OfFile(const std::string& path) {
+  const CliRun run = RunShell("sha256sum '" + path + "'");
+  EXPECT_EQ(run.exit_code, 0) << "sha256sum failed on " << path;
+  return Sha256Hex(run.stdout_text);
+}
+
 // The one nondeterministic token in `index` stdout is the build wall time.
 std::string NormalizeIndexStdout(const std::string& text) {
   static const std::regex kBuildTime(R"([0-9]+\.[0-9][0-9]s build)");
@@ -85,8 +100,14 @@ std::string GraphFlags() {
   return "--graph '" + GoldenPath("graph.txt") + "' --worlds 64 --seed 1";
 }
 
+// Writes the `index` artifact of the golden configuration to `out`.
+CliRun RunIndex(const std::string& extra, const std::string& out) {
+  return RunCli("index " + GraphFlags() + " " + extra + " --out '" + out +
+                "'");
+}
+
 TEST(CliGoldenTest, IndexStdoutMatchesGolden) {
-  const std::string out = TestTempPath("index.soiidx");
+  const std::string out = TestTempPath("index.soisnap");
   const CliRun run =
       RunCli("index " + GraphFlags() + " --threads 1 --out '" + out + "'");
   ASSERT_EQ(run.exit_code, 0) << run.stdout_text;
@@ -103,28 +124,110 @@ TEST(CliGoldenTest, IndexStdoutMatchesGolden) {
 }
 
 TEST(CliGoldenTest, IndexArtifactMatchesGoldenAtOneAndEightThreads) {
-  const std::string golden = ReadFileOrDie(GoldenPath("index.soiidx.golden"));
+  const std::string golden =
+      Sha256Hex(ReadFileOrDie(GoldenPath("index.soisnap.sha256")));
   for (const char* threads : {"1", "8"}) {
     const std::string out =
-        TestTempPath(std::string("index_t") + threads + ".soiidx");
-    const CliRun run = RunCli("index " + GraphFlags() + " --threads " +
-                              threads + " --out '" + out + "'");
+        TestTempPath(std::string("index_t") + threads + ".soisnap");
+    const CliRun run = RunIndex(std::string("--threads ") + threads, out);
     ASSERT_EQ(run.exit_code, 0) << run.stdout_text;
-    EXPECT_EQ(ReadFileOrDie(out), golden)
+    EXPECT_EQ(Sha256OfFile(out), golden)
         << "index artifact diverged from golden at --threads " << threads;
+    const CliRun verify = RunCli("snapshot verify --in '" + out + "'");
+    EXPECT_EQ(verify.exit_code, 0) << verify.stdout_text;
     std::remove(out.c_str());
   }
 }
 
 TEST(CliGoldenTest, IndexArtifactIdenticalWithMetricsDisabled) {
-  const std::string golden = ReadFileOrDie(GoldenPath("index.soiidx.golden"));
-  const std::string out = TestTempPath("index_nm.soiidx");
-  const CliRun run = RunCli("index " + GraphFlags() +
-                            " --threads 1 --no-metrics --out '" + out + "'");
+  const std::string golden =
+      Sha256Hex(ReadFileOrDie(GoldenPath("index.soisnap.sha256")));
+  const std::string out = TestTempPath("index_nm.soisnap");
+  const CliRun run = RunIndex("--threads 1 --no-metrics", out);
   ASSERT_EQ(run.exit_code, 0) << run.stdout_text;
-  EXPECT_EQ(ReadFileOrDie(out), golden)
+  EXPECT_EQ(Sha256OfFile(out), golden)
       << "--no-metrics changed the index artifact";
   std::remove(out.c_str());
+}
+
+TEST(CliGoldenTest, IndexArtifactServesTheServeGolden) {
+  // The `index` file is a snapshot: served from it, the protocol golden
+  // replays byte-for-byte, as it does against an in-process build.
+  const std::string out = TestTempPath("index_serve.soisnap");
+  ASSERT_EQ(RunIndex("--threads 1", out).exit_code, 0);
+  const std::string golden = ReadFileOrDie(GoldenPath("serve.stdout.golden"));
+  for (const char* threads : {"1", "8"}) {
+    const CliRun run = RunCli("serve --snapshot '" + out +
+                              "' --stdin --threads " + threads + " < '" +
+                              GoldenPath("serve.requests.jsonl") + "'");
+    ASSERT_EQ(run.exit_code, 0);
+    EXPECT_EQ(run.stdout_text, golden)
+        << "serve --snapshot diverged at --threads " << threads;
+  }
+  std::remove(out.c_str());
+}
+
+TEST(CliGoldenTest, SphereFromIndexMatchesInProcessSphere) {
+  const std::string out = TestTempPath("index_sphere.soisnap");
+  ASSERT_EQ(RunIndex("--threads 1", out).exit_code, 0);
+  for (const char* node : {"0", "3", "17", "42", "99", "127"}) {
+    const std::string sphere = "sphere " + GraphFlags() + " --node " + node;
+    const CliRun built = RunCli(sphere);
+    const CliRun loaded = RunCli(sphere + " --index '" + out + "'");
+    ASSERT_EQ(built.exit_code, 0) << "node " << node;
+    ASSERT_EQ(loaded.exit_code, 0) << "node " << node;
+    EXPECT_EQ(loaded.stdout_text, built.stdout_text) << "node " << node;
+  }
+  std::remove(out.c_str());
+}
+
+// The "graph-fp: <hex>" line of `snapshot info`.
+std::string GraphFingerprintOf(const std::string& snapshot) {
+  const CliRun info = RunCli("snapshot info --in '" + snapshot + "'");
+  EXPECT_EQ(info.exit_code, 0);
+  const size_t at = info.stdout_text.find("graph-fp: ");
+  EXPECT_NE(at, std::string::npos) << info.stdout_text;
+  return info.stdout_text.substr(at + 10, 16);
+}
+
+TEST(CliGoldenTest, SphereRejectsAnIndexOfAnotherGraph) {
+  const std::string index = TestTempPath("index_stale.soisnap");
+  ASSERT_EQ(RunIndex("--threads 1", index).exit_code, 0);
+  // The golden graph with its first edge line deleted.
+  const std::string edited = TestTempPath("graph_edited.txt");
+  {
+    std::istringstream lines(ReadFileOrDie(GoldenPath("graph.txt")));
+    std::ofstream out(edited);
+    std::string line;
+    bool dropped = false;
+    while (std::getline(lines, line)) {
+      if (!dropped && !line.empty() && line[0] != '#') {
+        dropped = true;
+        continue;
+      }
+      out << line << "\n";
+    }
+    ASSERT_TRUE(dropped);
+  }
+  const std::string edited_index = TestTempPath("index_edited.soisnap");
+  ASSERT_EQ(RunCli("index --graph '" + edited + "' --worlds 4 --out '" +
+                   edited_index + "'")
+                .exit_code,
+            0);
+  const std::string index_fp = GraphFingerprintOf(index);
+  const std::string edited_fp = GraphFingerprintOf(edited_index);
+  ASSERT_NE(index_fp, edited_fp);
+
+  const CliRun run = RunShell(std::string("'") + SOI_CLI_PATH +
+                              "' sphere --graph '" + edited +
+                              "' --node 3 --index '" + index + "' 2>&1");
+  EXPECT_NE(run.exit_code, 0) << run.stdout_text;
+  EXPECT_NE(run.stdout_text.find("stale snapshot"), std::string::npos)
+      << run.stdout_text;
+  EXPECT_NE(run.stdout_text.find(index_fp), std::string::npos)
+      << run.stdout_text;
+  EXPECT_NE(run.stdout_text.find(edited_fp), std::string::npos)
+      << run.stdout_text;
 }
 
 TEST(CliGoldenTest, TypicalStdoutMatchesGoldenAcrossThreadsAndMetrics) {
@@ -225,7 +328,7 @@ double JsonNumberAfter(const std::string& json, const std::string& key,
 }
 
 TEST(CliGoldenTest, MetricsSidecarIsValidAndCoversRuntime) {
-  const std::string out = TestTempPath("cov.soiidx");
+  const std::string out = TestTempPath("cov.soisnap");
   const std::string metrics = TestTempPath("cov.json");
   // More worlds than the golden run so real work dominates process startup
   // and the >= 95% phase-coverage contract is comfortably testable.
@@ -244,7 +347,7 @@ TEST(CliGoldenTest, MetricsSidecarIsValidAndCoversRuntime) {
   // for >= 95% of the process wall time past flag parsing.
   double covered = 0.0;
   for (const char* phase : {"cli/load_graph", "cli/build_index",
-                            "cli/save_index"}) {
+                            "cli/write_snapshot"}) {
     const size_t at = json.find(std::string("\"") + phase + "\"");
     ASSERT_NE(at, std::string::npos) << phase << " missing from metrics";
     covered += JsonNumberAfter(json, "total_seconds", at);

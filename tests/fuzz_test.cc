@@ -1,8 +1,12 @@
-// Robustness "fuzz" sweeps: the parsers must reject (never crash on)
+// Robustness "fuzz" sweeps: the decoders must reject (never crash on)
 // arbitrary malformed input — random bytes, random printable text, and
 // systematically mutated valid payloads.
 
+#include <cstring>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -10,7 +14,10 @@
 #include "graph/graph_io.h"
 #include "graph/prob_assign.h"
 #include "index/cascade_index.h"
-#include "index/index_io.h"
+#include "snapshot/format.h"
+#include "snapshot/reader.h"
+#include "snapshot/writer.h"
+#include "test_temp_dir.h"
 #include "util/rng.h"
 
 namespace soi {
@@ -31,16 +38,49 @@ std::string RandomPrintable(size_t size, Rng* rng) {
   return out;
 }
 
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  ASSERT_TRUE(out.good()) << "cannot write " << path;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
 class FuzzSweep : public ::testing::TestWithParam<int> {};
 
+// An index leaves a process only as a soi-snap file, so Snapshot::Open is
+// the index decoder these two sweeps fuzz.
 TEST_P(FuzzSweep, IndexDeserializerNeverCrashesOnGarbage) {
   Rng rng(1000 + GetParam());
+  const std::string path = TestTempPath("garbage.soisnap");
   for (const size_t size : {0u, 3u, 17u, 100u, 4096u}) {
-    const auto result = DeserializeCascadeIndex(RandomBytes(size, &rng));
-    EXPECT_FALSE(result.ok());  // garbage must never parse
+    for (const bool magic : {false, true}) {
+      std::string bytes = RandomBytes(size, &rng);
+      // Half the files carry a valid magic, so the sweep gets past the
+      // first check into header and section-table validation.
+      if (magic && size >= sizeof(kSnapshotMagic)) {
+        std::memcpy(bytes.data(), kSnapshotMagic, sizeof(kSnapshotMagic));
+      }
+      WriteFile(path, bytes);
+      for (const auto validation :
+           {SnapshotValidation::kStructural, SnapshotValidation::kFull}) {
+        EXPECT_FALSE(Snapshot::Open(path, validation).ok())
+            << size << " random bytes parsed";
+      }
+    }
   }
 }
 
+// Flips one byte of a small valid snapshot at every offset and opens it
+// with full validation. A flip inside
+// the header, the section table or a section payload must be rejected: the
+// CRCs cover all three. The zero-filled alignment padding between sections
+// is covered by no CRC, so a flip there only has to not crash.
 TEST_P(FuzzSweep, IndexDeserializerRejectsMutatedValidPayload) {
   Rng gen_rng(2000 + GetParam());
   auto topo = GenerateErdosRenyi(20, 50, false, &gen_rng);
@@ -53,17 +93,48 @@ TEST_P(FuzzSweep, IndexDeserializerRejectsMutatedValidPayload) {
   Rng rng(2002 + GetParam());
   const auto index = CascadeIndex::Build(*g, options, &rng);
   ASSERT_TRUE(index.ok());
-  std::string bytes = SerializeCascadeIndex(*index);
-  // Flip one random byte anywhere after the magic: either the checksum
-  // rejects it, or (if the flip hits the checksum itself) the mismatch does.
+  const std::string path = TestTempPath("flip.soisnap");
+  ASSERT_TRUE(WriteSnapshot(*g, *index, path).ok());
+  const std::string bytes = ReadFile(path);
+  ASSERT_TRUE(Snapshot::Open(path, SnapshotValidation::kFull).ok());
+
+  SnapshotHeader header;
+  ASSERT_GE(bytes.size(), sizeof(header));
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  const size_t table_end =
+      sizeof(header) + header.section_count * sizeof(SectionEntry);
+  ASSERT_LE(table_end, bytes.size());
+  std::vector<bool> covered(bytes.size(), false);
+  for (size_t i = 0; i < table_end; ++i) covered[i] = true;
+  for (uint32_t s = 0; s < header.section_count; ++s) {
+    SectionEntry entry;
+    std::memcpy(&entry, bytes.data() + sizeof(header) + s * sizeof(entry),
+                sizeof(entry));
+    ASSERT_LE(entry.offset + entry.byte_size, bytes.size());
+    for (uint64_t i = 0; i < entry.byte_size; ++i) {
+      covered[entry.offset + i] = true;
+    }
+  }
+
   Rng mutate_rng(3000 + GetParam());
-  for (int trial = 0; trial < 16; ++trial) {
-    std::string mutated = bytes;
-    const size_t pos = 8 + mutate_rng.NextBounded(mutated.size() - 8);
-    mutated[pos] = static_cast<char>(mutated[pos] ^
-                                     (1 + mutate_rng.NextBounded(255)));
-    const auto result = DeserializeCascadeIndex(mutated);
-    EXPECT_FALSE(result.ok()) << "flip at byte " << pos << " accepted";
+  std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+  ASSERT_TRUE(file.good());
+  const auto put = [&](size_t pos, char c) {
+    file.seekp(static_cast<std::streamoff>(pos));
+    file.put(c);
+    file.flush();
+  };
+  for (size_t pos = 0; pos < bytes.size(); ++pos) {
+    put(pos, static_cast<char>(bytes[pos] ^ (1 + mutate_rng.NextBounded(255))));
+    {
+      const auto snap = Snapshot::Open(path, SnapshotValidation::kFull);
+      if (covered[pos]) {
+        EXPECT_FALSE(snap.ok()) << "flip at byte " << pos << " accepted";
+      } else if (snap.ok()) {
+        EXPECT_TRUE((*snap)->MakeIndex().ok()) << "flip at byte " << pos;
+      }
+    }
+    put(pos, bytes[pos]);
   }
 }
 

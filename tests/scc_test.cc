@@ -164,6 +164,37 @@ TEST(CondensationTest, DagEdgesDeduplicated) {
   EXPECT_EQ(cond.num_dag_edges(), 1u);
 }
 
+TEST(CondensationTest, EqualityComparesEveryArrayAcrossStorageModes) {
+  const Csr g = MakeCsr(4, {{0, 1}, {1, 0}, {1, 2}, {0, 3}});
+  const Condensation cond = Condensation::Build(g);
+  const Condensation copy = cond;
+  EXPECT_TRUE(cond == copy);
+  const Condensation borrowed = Condensation::Borrowed(
+      cond.comp_of(), cond.num_components(), cond.members_offsets(),
+      cond.members_targets(), cond.dag_offsets(), cond.dag_targets());
+  EXPECT_TRUE(borrowed == cond);
+  EXPECT_TRUE(cond == borrowed);
+
+  // One more DAG edge, same components.
+  EXPECT_FALSE(cond == Condensation::Build(MakeCsr(
+                           4, {{0, 1}, {1, 0}, {1, 2}, {0, 3}, {3, 2}})));
+  // Transitive reduction drops the 0 -> 2 shortcut of a chain.
+  const Csr chain = MakeCsr(3, {{0, 1}, {1, 2}, {0, 2}});
+  Condensation reduced = Condensation::Build(chain);
+  TransitiveReduce(&reduced);
+  EXPECT_FALSE(reduced == Condensation::Build(chain));
+  // Same shape, nodes assigned to components the other way round.
+  EXPECT_FALSE(Condensation::Build(MakeCsr(2, {{0, 1}})) ==
+               Condensation::Build(MakeCsr(2, {{1, 0}})));
+  // Same node -> component map and DAG; only the members CSR differs.
+  const std::vector<NodeId> reversed_members(cond.members_targets().rbegin(),
+                                             cond.members_targets().rend());
+  const Condensation bad_members = Condensation::Borrowed(
+      cond.comp_of(), cond.num_components(), cond.members_offsets(),
+      reversed_members, cond.dag_offsets(), cond.dag_targets());
+  EXPECT_FALSE(bad_members == cond);
+}
+
 TEST(CondensationTest, ReachableComponentsMatchesNodeReachability) {
   Rng rng(4);
   for (int trial = 0; trial < 10; ++trial) {

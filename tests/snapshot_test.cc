@@ -22,7 +22,6 @@
 #include "graph/prob_assign.h"
 #include "graph/prob_graph.h"
 #include "index/cascade_index.h"
-#include "index/index_io.h"
 #include "infmax/sketch_oracle.h"
 #include "runtime/parallel_for.h"
 #include "service/engine.h"
@@ -149,13 +148,7 @@ TEST(SnapshotRoundTrip, GraphIndexAndClosuresSurvive) {
   ASSERT_EQ(borrowed->num_worlds(), index.num_worlds());
   ASSERT_TRUE(borrowed->has_closure_cache());
   for (uint32_t w = 0; w < index.num_worlds(); ++w) {
-    const Condensation& a = index.world(w);
-    const Condensation& b = borrowed->world(w);
-    ASSERT_EQ(a.num_components(), b.num_components());
-    ASSERT_TRUE(std::equal(a.comp_of().begin(), a.comp_of().end(),
-                           b.comp_of().begin()));
-    ASSERT_TRUE(std::equal(a.dag_targets().begin(), a.dag_targets().end(),
-                           b.dag_targets().begin()));
+    ASSERT_TRUE(index.world(w) == borrowed->world(w)) << "world " << w;
     const ReachabilityClosure& ca = index.closure(w);
     const ReachabilityClosure& cb = borrowed->closure(w);
     ASSERT_EQ(ca.num_components(), cb.num_components());
@@ -193,8 +186,9 @@ TEST(SnapshotRoundTrip, TypicalTableAndModelFlagSurvive) {
 }
 
 TEST(SnapshotRoundTrip, BorrowedIndexSerializesIdenticallyToOwned) {
-  // index_io must read through the span accessors, so saving a borrowed
-  // (mmap-backed) index produces the same SOIIDX bytes as the owned one.
+  // Condensation equality and the writer both read through the span
+  // accessors, so a borrowed (mmap-backed) index compares equal to the
+  // owned one world by world and re-serializes to the same snapshot bytes.
   const ProbGraph graph = RandomGraph(50, 250, 9);
   const CascadeIndex index =
       BuildIndex(graph, PropagationModel::kIndependentCascade);
@@ -204,28 +198,71 @@ TEST(SnapshotRoundTrip, BorrowedIndexSerializesIdenticallyToOwned) {
   ASSERT_TRUE(snap.ok());
   auto borrowed = (*snap)->MakeIndex();
   ASSERT_TRUE(borrowed.ok());
-  EXPECT_EQ(SerializeCascadeIndex(index), SerializeCascadeIndex(*borrowed));
+  EXPECT_TRUE(SameWorlds(index, *borrowed));
+  for (uint32_t w = 0; w < index.num_worlds(); ++w) {
+    EXPECT_TRUE(borrowed->world(w).borrowed());
+    EXPECT_TRUE(index.world(w) == borrowed->world(w)) << "world " << w;
+  }
+  const auto owned_bytes = SerializeSnapshot(graph, index);
+  const auto borrowed_bytes = SerializeSnapshot(graph, *borrowed);
+  ASSERT_TRUE(owned_bytes.ok() && borrowed_bytes.ok());
+  EXPECT_EQ(*owned_bytes, *borrowed_bytes);
 }
 
-TEST(IndexIoTest, RebuildClosuresPolicySkipsTheCache) {
-  const ProbGraph graph = RandomGraph(50, 250, 11);
-  const CascadeIndex index =
-      BuildIndex(graph, PropagationModel::kIndependentCascade);
-  const std::string bytes = SerializeCascadeIndex(index);
-  auto rebuilt = DeserializeCascadeIndex(bytes, RebuildClosures::kRebuild);
-  ASSERT_TRUE(rebuilt.ok());
-  EXPECT_TRUE(rebuilt->has_closure_cache());
-  auto skipped = DeserializeCascadeIndex(bytes, RebuildClosures::kSkip);
-  ASSERT_TRUE(skipped.ok());
-  EXPECT_FALSE(skipped->has_closure_cache());
-  // The cache is an accelerator, not a semantic: cascades agree either way.
-  CascadeIndex::Workspace ws;
-  for (uint32_t w = 0; w < index.num_worlds(); ++w) {
-    auto a = rebuilt->Cascade(NodeId{0}, w, &ws);
-    auto b = skipped->Cascade(NodeId{0}, w, &ws);
-    ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_EQ(*a, *b) << "world " << w;
+TEST(SnapshotRoundTrip, UntieredFilesAssembleWithOneTierPerWorld) {
+  // A raw file of an all-materialized or an all-traversal index is the
+  // untiered v1.0 layout; MakeIndex supplies the tier table FromParts
+  // requires.
+  const ProbGraph graph = RandomGraph(50, 250, 13);
+  CascadeIndex index = BuildIndex(graph, PropagationModel::kIndependentCascade);
+  ASSERT_TRUE(index.has_closure_cache());
+  SnapshotWriteOptions raw;
+  raw.pack = false;
+  for (const WorldTier want :
+       {WorldTier::kMaterialized, WorldTier::kTraversal}) {
+    if (want == WorldTier::kTraversal) {
+      index.RebuildClosureTiersBytes(0, ClosureTierPolicy::kAuto);
+    }
+    const std::string path = TestTempPath("untiered.soisnap");
+    ASSERT_TRUE(WriteSnapshot(graph, index, path, raw).ok());
+    auto snap = Snapshot::Open(path, SnapshotValidation::kFull);
+    ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+    EXPECT_FALSE((*snap)->info().tiered);
+    auto loaded = (*snap)->MakeIndex();
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    for (uint32_t w = 0; w < loaded->num_worlds(); ++w) {
+      EXPECT_EQ(loaded->tier(w), want) << "world " << w;
+    }
+    EXPECT_EQ(loaded->stats().worlds_materialized,
+              want == WorldTier::kMaterialized ? index.num_worlds() : 0u);
+    EXPECT_EQ(loaded->stats().worlds_traversal,
+              want == WorldTier::kTraversal ? index.num_worlds() : 0u);
   }
+}
+
+TEST(SnapshotRoundTrip, FromPartsRequiresOneTierPerWorld) {
+  const ProbGraph graph = RandomGraph(30, 120, 17);
+  const CascadeIndex index =
+      BuildIndex(graph, PropagationModel::kIndependentCascade, 4);
+  const auto worlds = [&] {
+    std::vector<Condensation> out;
+    for (uint32_t w = 0; w < index.num_worlds(); ++w) {
+      out.push_back(index.world(w));
+    }
+    return out;
+  };
+  for (const size_t tiers : {size_t{0}, size_t{3}}) {
+    const auto parts = CascadeIndex::FromParts(
+        graph.num_nodes(), worlds(), {}, {},
+        std::vector<WorldTier>(tiers, WorldTier::kTraversal));
+    EXPECT_EQ(parts.status().code(), StatusCode::kInvalidArgument) << tiers;
+  }
+  const auto all_traversal = CascadeIndex::FromParts(
+      graph.num_nodes(), worlds(), {}, {},
+      std::vector<WorldTier>(4, WorldTier::kTraversal));
+  ASSERT_TRUE(all_traversal.ok());
+  EXPECT_TRUE(SameWorlds(index, *all_traversal));
+  EXPECT_EQ(all_traversal->stats().worlds_traversal, 4u);
 }
 
 // The acceptance bar for the whole subsystem: every request type answered
@@ -354,6 +391,8 @@ TEST_F(SnapshotCorruptionTest, WrongMagicNamesTheLegacyFormat) {
   std::string bad = bytes_;
   std::memcpy(bad.data(), "SOIIDX1\0", 8);
   ExpectOpenFails(bad, "wrong magic");
+  ExpectOpenFails(bad, "SOIIDX indexes are no longer readable");
+  ExpectOpenFails(bad, "regenerate the file with `soi_cli index`");
 }
 
 TEST_F(SnapshotCorruptionTest, FutureVersionIsRefusedWithUpgradeHint) {

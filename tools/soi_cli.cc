@@ -3,8 +3,9 @@
 //   soi_cli gen         --config Digg-S [--scale 0.25] [--seed 42] --out g.txt
 //   soi_cli stats       --graph g.txt [--undirected] [--default-prob 0.1]
 //   soi_cli index       --graph g.txt [--worlds 256] [--model ic|lt]
-//                       [--seed 1] --out g.soiidx
-//   soi_cli sphere      --graph g.txt --node 42 [--index g.soiidx]
+//                       [--seed 1] --out g.soisnap
+//                       (writes the `snapshot create --no-typical` file)
+//   soi_cli sphere      --graph g.txt --node 42 [--index g.soisnap]
 //                       [--worlds 256] [--local-search] [--eval-samples 500]
 //   soi_cli infmax      --graph g.txt --method std|mc|tc|rr|degree|random
 //                       [--k 50] [--worlds 256] [--eval-worlds 400]
@@ -53,8 +54,8 @@
 //                      0 disables). Over-budget indexes fall back to
 //                      per-query DAG traversal; outputs are byte-identical
 //                      either way, only speed changes. A loaded index
-//                      (sphere --index) rebuilds the cache under the
-//                      environment budget — the cache is never serialized.
+//                      (sphere --index, serve --snapshot) keeps the tiers
+//                      it was written with.
 //   --closure-tier P   which reachability tiers the budget may assign:
 //                      auto (default; materialized, then interval labels,
 //                      then traversal as the budget runs out), materialized
@@ -88,7 +89,6 @@
 #include "graph/graph_io.h"
 #include "graph/graph_stats.h"
 #include "index/cascade_index.h"
-#include "index/index_io.h"
 #include "infmax/baselines.h"
 #include "infmax/evaluate.h"
 #include "infmax/greedy_std.h"
@@ -178,13 +178,14 @@ std::vector<CommandSpec> Commands() {
   commands.push_back(
       {"index", "build the cascade index (Algorithm 1) and save it", "",
        WithShared({{"out", FlagType::kString, "",
-                    "output index path (required)"}},
+                    "output soi-snap path (required)"}},
                   /*graph=*/true, /*index=*/true)});
   commands.push_back(
       {"sphere", "sphere of influence (Algorithm 2) of one node", "",
        WithShared({{"node", FlagType::kInt, "", "seed node id (required)"},
                    {"index", FlagType::kString, "",
-                    "load this index instead of building one"},
+                    "load this index or snapshot file instead of building "
+                    "one (must match --graph)"},
                    {"local-search", FlagType::kBool, "",
                     "enable 1-swap local-search refinement"},
                    {"eval-samples", FlagType::kInt, "0",
@@ -372,6 +373,53 @@ Result<CascadeIndex> BuildIndexFromFlags(const ProbGraph& graph,
   return CascadeIndex::Build(graph, options, &rng);
 }
 
+// What a snapshot written from the command line holds beyond the graph and
+// the index's worlds and reachability tiers.
+struct SnapshotContents {
+  bool typical = true;
+  bool pack = true;
+  uint32_t sketch_k = 0;  // 0 = no sketches
+};
+
+// Loads the graph, builds the index and writes both as one soi-snap file at
+// `out` (the path behind `snapshot create` and `index`). Returns the index
+// so the caller can report on it.
+Result<CascadeIndex> CreateSnapshot(const FlagParser& flags,
+                                    const std::string& out,
+                                    const SnapshotContents& contents) {
+  SOI_ASSIGN_OR_RETURN(const ProbGraph graph, LoadGraph(flags));
+  SOI_ASSIGN_OR_RETURN(const CascadeIndexOptions index_options,
+                       IndexOptionsFromFlags(flags));
+  SOI_ASSIGN_OR_RETURN(CascadeIndex index, BuildIndexFromFlags(graph, flags));
+
+  SnapshotWriteOptions options;
+  options.model = index_options.model;
+  options.pack = contents.pack;
+  TypicalCascadeSweep sweep;
+  if (contents.typical) {
+    SOI_OBS_SPAN("cli/compute_typical");
+    TypicalCascadeComputer computer(&index);
+    SOI_ASSIGN_OR_RETURN(sweep, computer.ComputeAllFlat());
+    options.typical = &sweep.cascades;
+  }
+  std::unique_ptr<SketchSpreadOracle> sketches;
+  if (contents.sketch_k > 0) {
+    SOI_OBS_SPAN("cli/build_sketches");
+    SOI_ASSIGN_OR_RETURN(const int64_t seed, flags.GetInt("seed", 1));
+    SOI_ASSIGN_OR_RETURN(SketchSpreadOracle built,
+                         SketchSpreadOracle::BuildDeterministic(
+                             index, contents.sketch_k,
+                             static_cast<uint64_t>(seed)));
+    sketches = std::make_unique<SketchSpreadOracle>(std::move(built));
+    options.sketches = sketches.get();
+  }
+  {
+    SOI_OBS_SPAN("cli/write_snapshot");
+    SOI_RETURN_IF_ERROR(WriteSnapshot(graph, index, out, options));
+  }
+  return index;
+}
+
 int CmdGen(const FlagParser& flags) {
   CLI_ASSIGN(config, flags.GetString("config", ""));
   if (config.empty()) return Fail(Status::InvalidArgument("--config required"));
@@ -404,25 +452,31 @@ int CmdStats(const FlagParser& flags) {
   return 0;
 }
 
+// Writes the `--no-typical` form of `snapshot create`: packed, no typical
+// table, no sketches. The stdout line reports the built index.
 int CmdIndex(const FlagParser& flags) {
   CLI_ASSIGN(out, flags.GetString("out", ""));
   if (out.empty()) return Fail(Status::InvalidArgument("--out required"));
   const Status out_ok = ValidateWritableOutPath(out);
   if (!out_ok.ok()) return Fail(out_ok);
-  CLI_ASSIGN(graph, LoadGraph(flags));
-  CLI_ASSIGN(index, BuildIndexFromFlags(graph, flags));
-  Status save = Status::OK();
-  {
-    SOI_OBS_SPAN("cli/save_index");
-    save = SaveCascadeIndex(index, out);
-  }
-  if (!save.ok()) return Fail(save);
+  CLI_ASSIGN(index, CreateSnapshot(flags, out, {.typical = false}));
   std::printf(
       "wrote %s: %u worlds, avg %.1f components, ~%.1f MiB, %.2fs build\n",
       out.c_str(), index.num_worlds(), index.stats().avg_components,
       static_cast<double>(index.stats().approx_bytes) / (1 << 20),
       index.stats().build_seconds);
   return 0;
+}
+
+// Opens an `index` / `snapshot create` file for `graph`: refuses a file
+// written from a different graph, then assembles the index, which borrows
+// from the mapping — `*snap` must outlive it.
+Result<CascadeIndex> LoadIndexSnapshot(const std::string& path,
+                                       const ProbGraph& graph,
+                                       std::shared_ptr<const Snapshot>* snap) {
+  SOI_ASSIGN_OR_RETURN(*snap, Snapshot::Open(path));
+  SOI_RETURN_IF_ERROR(CheckSnapshotFreshness((*snap)->info(), graph));
+  return (*snap)->MakeIndex();
 }
 
 int CmdSphere(const FlagParser& flags) {
@@ -434,9 +488,10 @@ int CmdSphere(const FlagParser& flags) {
   const NodeId node = static_cast<NodeId>(node_i64);
 
   CLI_ASSIGN(index_path, flags.GetString("index", ""));
-  Result<CascadeIndex> index = index_path.empty()
-                                   ? BuildIndexFromFlags(graph, flags)
-                                   : LoadCascadeIndex(index_path);
+  std::shared_ptr<const Snapshot> snap;  // declared first: outlives `index`
+  Result<CascadeIndex> index =
+      index_path.empty() ? BuildIndexFromFlags(graph, flags)
+                         : LoadIndexSnapshot(index_path, graph, &snap);
   if (!index.ok()) return Fail(index.status());
   if (index->num_nodes() != graph.num_nodes()) {
     return Fail(Status::FailedPrecondition("index/graph node mismatch"));
@@ -676,8 +731,8 @@ Result<std::vector<GraphUpdate>> ParseUpdatesFile(const std::string& path) {
 // (src/dynamic/) and reports how much of the index each batch touched.
 // --verify then proves rebuild equivalence for this exact stream: a fresh
 // DynamicIndex built from the updated graph must match the incrementally
-// maintained one byte-for-byte (serialized index, typical table, graph
-// fingerprint) — any divergence is exit code 1.
+// maintained one byte-for-byte (every world's condensation, typical table,
+// graph fingerprint) — any divergence is exit code 1.
 int CmdUpdate(const FlagParser& flags) {
   CLI_ASSIGN(updates_path, flags.GetString("updates", ""));
   if (updates_path.empty()) {
@@ -741,11 +796,9 @@ int CmdUpdate(const FlagParser& flags) {
     std::fprintf(stderr, "verify: graph fingerprint mismatch\n");
     ok = false;
   }
-  if (SerializeCascadeIndex(dynamic.index()) !=
-      SerializeCascadeIndex(fresh.index())) {
+  if (!SameWorlds(dynamic.index(), fresh.index())) {
     std::fprintf(stderr,
-                 "verify: serialized index bytes diverge from a fresh "
-                 "rebuild\n");
+                 "verify: index condensations diverge from a fresh rebuild\n");
     ok = false;
   }
   const Status typical_a = dynamic.EnsureTypical();
@@ -777,42 +830,17 @@ int CmdSnapshotCreate(const FlagParser& flags) {
   if (out.empty()) return Fail(Status::InvalidArgument("--out required"));
   const Status out_ok = ValidateWritableOutPath(out);
   if (!out_ok.ok()) return Fail(out_ok);
-  CLI_ASSIGN(graph, LoadGraph(flags));
-  CLI_ASSIGN(index_options, IndexOptionsFromFlags(flags));
-  CLI_ASSIGN(index, BuildIndexFromFlags(graph, flags));
-
-  SnapshotWriteOptions options;
-  options.model = index_options.model;
-  options.pack = !flags.GetBool("no-pack", false);
-  TypicalCascadeSweep sweep;
-  if (!flags.GetBool("no-typical", false)) {
-    SOI_OBS_SPAN("cli/compute_typical");
-    TypicalCascadeComputer computer(&index);
-    CLI_ASSIGN(computed, computer.ComputeAllFlat());
-    sweep = std::move(computed);
-    options.typical = &sweep.cascades;
-  }
   CLI_ASSIGN(sketch_k, flags.GetInt("sketch-k", 0));
   if (sketch_k < 0 || (sketch_k > 0 && sketch_k < 3)) {
     return Fail(Status::InvalidArgument(
         "snapshot create: --sketch-k must be 0 (off) or >= 3"));
   }
-  std::unique_ptr<SketchSpreadOracle> sketches;
-  if (sketch_k > 0) {
-    SOI_OBS_SPAN("cli/build_sketches");
-    CLI_ASSIGN(seed, flags.GetInt("seed", 1));
-    CLI_ASSIGN(built, SketchSpreadOracle::BuildDeterministic(
-                          index, static_cast<uint32_t>(sketch_k),
-                          static_cast<uint64_t>(seed)));
-    sketches = std::make_unique<SketchSpreadOracle>(std::move(built));
-    options.sketches = sketches.get();
-  }
-  Status written = Status::OK();
-  {
-    SOI_OBS_SPAN("cli/write_snapshot");
-    written = WriteSnapshot(graph, index, out, options);
-  }
-  if (!written.ok()) return Fail(written);
+  const SnapshotContents contents = {
+      .typical = !flags.GetBool("no-typical", false),
+      .pack = !flags.GetBool("no-pack", false),
+      .sketch_k = static_cast<uint32_t>(sketch_k)};
+  const Status created = CreateSnapshot(flags, out, contents).status();
+  if (!created.ok()) return Fail(created);
 
   CLI_ASSIGN(snap, Snapshot::Open(out));
   std::printf("wrote %s: %u nodes, %llu edges, %u worlds, %u sections, "
