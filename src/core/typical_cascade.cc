@@ -71,18 +71,19 @@ Status TypicalCascadeComputer::SweepAllNodes(
 
   // For a materialized world, a node's cascades are zero-copy spans into
   // the memoized per-world runs — there is nothing to extract. For every
-  // other tier (labels, traversal), extract in world-major batches: all
-  // cascades of a node batch one world at a time, so each world's DAG stays
-  // hot across the whole batch, then run the per-node Jaccard medians off
-  // the shared arena. Mixed-tier indexes extract only the non-materialized
-  // worlds (arena slots are compacted over those). Nodes are independent
-  // and use no randomness, so results are identical for every thread count
-  // and batch size. Each chunk gets its own scratch because workspace,
-  // arena and solver are stateful.
+  // other world (labels, traversal, or a closure served packed from a
+  // snapshot), extract in world-major batches: all cascades of a node batch
+  // one world at a time, so each world's state stays hot across the whole
+  // batch, then run the per-node Jaccard medians off the shared arena.
+  // Mixed indexes extract only the worlds without spans (arena slots are
+  // compacted over those). Nodes are independent and use no randomness, so
+  // results are identical for every thread count and batch size. Each chunk
+  // gets its own scratch because workspace, arena and solver are stateful.
   std::vector<uint32_t> arena_slot(l, UINT32_MAX);
   uint32_t num_extract = 0;
   for (uint32_t i = 0; i < l; ++i) {
-    if (index_->tier(i) != WorldTier::kMaterialized) {
+    if (index_->tier(i) != WorldTier::kMaterialized ||
+        index_->closure(i).packed()) {
       arena_slot[i] = num_extract++;
     }
   }

@@ -505,19 +505,22 @@ void CascadeIndex::CascadeInto(std::span<const NodeId> seeds, uint32_t i,
     const ReachabilityClosure& cl = closures_[i];
     if (seeds.size() == 1) {
       SOI_DCHECK(seeds[0] < num_nodes_);
-      const auto run = cl.Cascade(cond.ComponentOf(seeds[0]));
-      out->insert(out->end(), run.begin(), run.end());
+      cl.AppendCascade(cond.ComponentOf(seeds[0]), out);
       return;
     }
     ws->Prepare(cond.num_components());
     for (NodeId s : seeds) {
       SOI_DCHECK(s < num_nodes_);
-      for (uint32_t x : cl.Closure(cond.ComponentOf(s))) {
+      const uint32_t c = cond.ComponentOf(s);
+      // A stamped seed component lies in an earlier seed's closure, so its
+      // own closure is already in: skip it (duplicates included).
+      if (ws->stamp_[c] == ws->stamp_id_) continue;
+      cl.ForEachClosureComp(c, [ws](uint32_t x) {
         if (ws->stamp_[x] != ws->stamp_id_) {
           ws->stamp_[x] = ws->stamp_id_;
           ws->comps_.push_back(x);
         }
-      }
+      });
     }
     std::sort(ws->comps_.begin(), ws->comps_.end());
     MergeComponentMemberRuns(cond, ws->comps_, &ws->merge_, out);
@@ -537,7 +540,9 @@ void CascadeIndex::CascadeInto(std::span<const NodeId> seeds, uint32_t i,
     }
     for (NodeId s : seeds) {
       SOI_DCHECK(s < num_nodes_);
-      const auto b = lab.Bounds(cond.ComponentOf(s));
+      const uint32_t c = cond.ComponentOf(s);
+      if (ws->stamp_[c] == ws->stamp_id_) continue;  // already covered
+      const auto b = lab.Bounds(c);
       for (size_t k = 0; k < b.size(); k += 2) {
         for (uint32_t x = b[k]; x <= b[k + 1]; ++x) {
           if (ws->stamp_[x] != ws->stamp_id_) {
@@ -595,12 +600,14 @@ Result<uint64_t> CascadeIndex::CascadeSize(std::span<const NodeId> seeds,
     ws->Prepare(cond.num_components());
     uint64_t total = 0;
     for (NodeId s : seeds) {
-      for (uint32_t x : cl.Closure(cond.ComponentOf(s))) {
+      const uint32_t c = cond.ComponentOf(s);
+      if (ws->stamp_[c] == ws->stamp_id_) continue;  // already covered
+      cl.ForEachClosureComp(c, [&](uint32_t x) {
         if (ws->stamp_[x] != ws->stamp_id_) {
           ws->stamp_[x] = ws->stamp_id_;
           total += cond.ComponentSize(x);
         }
-      }
+      });
     }
     return total;
   }
@@ -612,7 +619,9 @@ Result<uint64_t> CascadeIndex::CascadeSize(std::span<const NodeId> seeds,
     ws->Prepare(cond.num_components());
     uint64_t total = 0;
     for (NodeId s : seeds) {
-      const auto b = lab.Bounds(cond.ComponentOf(s));
+      const uint32_t c = cond.ComponentOf(s);
+      if (ws->stamp_[c] == ws->stamp_id_) continue;  // already covered
+      const auto b = lab.Bounds(c);
       for (size_t k = 0; k < b.size(); k += 2) {
         for (uint32_t x = b[k]; x <= b[k + 1]; ++x) {
           if (ws->stamp_[x] != ws->stamp_id_) {

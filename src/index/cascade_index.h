@@ -129,7 +129,8 @@ struct CascadeIndexStats {
 ///  - kMaterialized (scc/closure.h): the world's full component closure and
 ///    cascade runs, computed once in reverse-topological order. A
 ///    single-source cascade query is a zero-copy span into the runs CSR
-///    (CachedCascade), a size query an offset subtraction.
+///    (CachedCascade) — or, for closures loaded packed from a snapshot, one
+///    run decode — and a size query an offset subtraction.
 ///  - kLabels (scc/labels.h): succinct interval labels over the
 ///    reverse-topological id order. Size queries stay O(1)
 ///    (precomputed reach_nodes); enumeration expands the intervals and
@@ -221,7 +222,8 @@ class CascadeIndex {
   }
 
   /// True when EVERY world carries a materialized closure — the strongest
-  /// cache state, in which CachedCascade is valid for any world. Mixed-tier
+  /// cache state, in which CachedCascade is valid for any world whose
+  /// closure is not packed (built indexes never are). Mixed-tier
   /// and labels-only indexes answer the same queries byte-identically
   /// through Cascade/CascadeSize/AppendCascade, just not via zero-copy
   /// spans for non-materialized worlds.
@@ -325,11 +327,13 @@ class CascadeIndex {
   /// Zero-copy cascade of single source v in world i: a span into the
   /// memoized run, sorted ascending, valid for the index's lifetime.
   ///
-  /// Unchecked hot kernel: requires tier(i) == kMaterialized,
-  /// v < num_nodes() and i < num_worlds() (pre-validated by the caller;
-  /// debug-checked). Identical content to Cascade(v, i, ws).
+  /// Unchecked hot kernel: requires tier(i) == kMaterialized with an
+  /// unpacked closure (!closure(i).packed()), v < num_nodes() and
+  /// i < num_worlds() (pre-validated by the caller; debug-checked).
+  /// Identical content to Cascade(v, i, ws).
   std::span<const NodeId> CachedCascade(NodeId v, uint32_t i) const {
     SOI_DCHECK(i < tiers_.size() && tiers_[i] == WorldTier::kMaterialized);
+    SOI_DCHECK(!closures_[i].packed());
     SOI_DCHECK(v < num_nodes_);
     return closures_[i].Cascade(world(i).ComponentOf(v));
   }

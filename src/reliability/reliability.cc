@@ -62,10 +62,13 @@ Result<std::vector<double>> ReachabilityProbabilities(
   SOI_OBS_SPAN("reliability/reachability_probabilities");
   std::vector<uint32_t> counts(index.num_nodes(), 0);
   CascadeIndex::Workspace ws;
+  // One arena reused across the l worlds: its buffer grows to the largest
+  // cascade once instead of one vector per world.
+  CascadeIndex::CascadeArena arena;
   for (uint32_t i = 0; i < index.num_worlds(); ++i) {
-    SOI_ASSIGN_OR_RETURN(const std::vector<NodeId> cascade,
-                         index.Cascade(seeds, i, &ws));
-    for (NodeId v : cascade) ++counts[v];
+    arena.Clear();
+    index.AppendCascade(seeds, i, &ws, &arena);
+    for (NodeId v : arena.View(0)) ++counts[v];
   }
   std::vector<double> probs(index.num_nodes());
   for (NodeId v = 0; v < index.num_nodes(); ++v) {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "scc/condensation.h"
+#include "util/packed_runs.h"
 
 namespace soi {
 
@@ -31,13 +32,18 @@ namespace soi {
 /// offsets, and a multi-source cascade is a stamped union of closure lists
 /// followed by one run merge.
 ///
-/// Storage is dual-mode: a closure either owns its CSR arrays (the vectors
-/// below, filled by BuildReachabilityClosure) or *borrows* them from an
-/// external read-only mapping (see src/snapshot/) via Borrowed(). Queries go
-/// through the accessors, which dispatch on the mode; owned and borrowed
-/// closures answer identically. Copies and moves are safe in both modes: an
-/// owned copy never reads the view spans, and a borrowed copy shares the
-/// external memory (whose lifetime the snapshot mapping owns).
+/// Storage has three modes. A closure either owns its CSR arrays (the
+/// vectors below, filled by BuildReachabilityClosure), *borrows* them raw
+/// from an external read-only mapping via Borrowed(), or borrows them
+/// *packed* via BorrowedPacked(): delta-varint runs (util/packed_runs.h)
+/// addressed by per-component byte offsets, decoded per query (the packed
+/// snapshot sections, see src/snapshot/). NodeCount, ForEachClosureComp
+/// and AppendCascade answer identically in every mode; the span accessors
+/// Closure()/Cascade() exist only for owned and raw-borrowed storage (the
+/// build path, the dynamic layer and CascadeIndex::CachedCascade). Copies
+/// and moves are safe in every mode: an owned copy never reads the view
+/// spans, and a borrowed copy shares the external memory (whose lifetime
+/// the snapshot mapping owns).
 struct ReachabilityClosure {
   /// comps[comp_offsets[c], comp_offsets[c+1]) is the closure of component
   /// c, component ids strictly ascending. 64-bit offsets: total closure
@@ -59,7 +65,7 @@ struct ReachabilityClosure {
                                       std::span<const uint64_t> node_offsets,
                                       std::span<const NodeId> nodes) {
     ReachabilityClosure out;
-    out.borrowed_ = true;
+    out.storage_ = Storage::kBorrowed;
     out.b_comp_offsets_ = comp_offsets;
     out.b_comps_ = comps;
     out.b_node_offsets_ = node_offsets;
@@ -67,68 +73,128 @@ struct ReachabilityClosure {
     return out;
   }
 
-  bool borrowed() const { return borrowed_; }
+  /// Wraps packed runs without copying or decoding: `comps` holds one run
+  /// per component (its closure), `nodes` one run per component (its
+  /// cascade). Both arenas' spans must stay valid for the closure's
+  /// lifetime, and every run must have passed ValidatePackedRun against
+  /// the component / node count — the loader's responsibility, as for
+  /// Borrowed().
+  static ReachabilityClosure BorrowedPacked(const PackedRuns& comps,
+                                            const PackedRuns& nodes) {
+    SOI_DCHECK(comps.num_runs() == nodes.num_runs());
+    ReachabilityClosure out;
+    out.storage_ = Storage::kPacked;
+    out.b_comp_offsets_ = comps.elem_offsets();
+    out.b_node_offsets_ = nodes.elem_offsets();
+    out.p_comps_ = comps.bytes();
+    out.p_comp_bytes_ = comps.byte_offsets();
+    out.p_nodes_ = nodes.bytes();
+    out.p_node_bytes_ = nodes.byte_offsets();
+    return out;
+  }
+
+  /// True for both borrowed modes (raw and packed).
+  bool borrowed() const { return storage_ != Storage::kOwned; }
+  /// True when the runs are delta-varint packed (no span accessors).
+  bool packed() const { return storage_ == Storage::kPacked; }
 
   uint32_t num_components() const {
     const auto co = comp_offsets_view();
     return co.empty() ? 0 : static_cast<uint32_t>(co.size() - 1);
   }
 
-  /// Components reachable from c (ascending, includes c).
-  std::span<const uint32_t> Closure(uint32_t c) const {
-    const auto co = comp_offsets_view();
-    const auto cs = comps_view();
-    SOI_DCHECK(c + 1 < co.size());
-    return std::span<const uint32_t>(cs.data() + co[c], cs.data() + co[c + 1]);
-  }
-
-  /// Cascade of any node in component c (ascending node ids).
-  std::span<const NodeId> Cascade(uint32_t c) const {
-    const auto no = node_offsets_view();
-    const auto ns = nodes_view();
-    SOI_DCHECK(c + 1 < no.size());
-    return std::span<const NodeId>(ns.data() + no[c], ns.data() + no[c + 1]);
-  }
-
-  /// Cascade size of any node in component c. Fits uint32: a cascade never
-  /// exceeds the node count.
+  /// Cascade size of any node in component c, O(1) in every mode. Fits
+  /// uint32: a cascade never exceeds the node count.
   uint32_t NodeCount(uint32_t c) const {
     const auto no = node_offsets_view();
     SOI_DCHECK(c + 1 < no.size());
     return static_cast<uint32_t>(no[c + 1] - no[c]);
   }
 
-  /// Heap footprint of the CSR arrays (the quantity the index's
-  /// closure-cache memory budget meters). For a borrowed closure this is the
-  /// mapped footprint — the same bytes, just owned by the page cache.
-  uint64_t ApproxBytes() const {
-    return 8ull * comp_offsets_view().size() + 4ull * comps_view().size() +
-           8ull * node_offsets_view().size() + 4ull * nodes_view().size();
+  /// Calls fn(x) for every component x reachable from c (ascending,
+  /// includes c), in every storage mode.
+  template <typename Fn>
+  void ForEachClosureComp(uint32_t c, Fn&& fn) const {
+    if (packed()) {
+      const auto co = comp_offsets_view();
+      SOI_DCHECK(c + 1 < co.size());
+      ForEachPacked(p_comps_.data() + p_comp_bytes_[c], co[c + 1] - co[c], fn);
+      return;
+    }
+    for (uint32_t x : Closure(c)) fn(x);
   }
 
-  /// The four CSR arrays as spans, mode-independent (what the snapshot
-  /// writer serializes).
-  std::span<const uint64_t> comp_offsets_view() const {
-    return borrowed_ ? b_comp_offsets_
-                     : std::span<const uint64_t>(comp_offsets);
+  /// Appends the cascade of any node in component c (ascending node ids) to
+  /// *out, in every storage mode.
+  void AppendCascade(uint32_t c, std::vector<NodeId>* out) const {
+    if (packed()) {
+      const size_t base = out->size();
+      out->resize(base + NodeCount(c));
+      DecodePackedRun(p_nodes_.data() + p_node_bytes_[c], NodeCount(c),
+                      out->data() + base);
+      return;
+    }
+    const auto run = Cascade(c);
+    out->insert(out->end(), run.begin(), run.end());
   }
-  std::span<const uint32_t> comps_view() const {
-    return borrowed_ ? b_comps_ : std::span<const uint32_t>(comps);
+
+  /// Components reachable from c (ascending, includes c). Owned and
+  /// raw-borrowed storage only.
+  std::span<const uint32_t> Closure(uint32_t c) const {
+    SOI_DCHECK(!packed());
+    const auto co = comp_offsets_view();
+    const auto cs = borrowed() ? b_comps_ : std::span<const uint32_t>(comps);
+    SOI_DCHECK(c + 1 < co.size());
+    return std::span<const uint32_t>(cs.data() + co[c], cs.data() + co[c + 1]);
+  }
+
+  /// Cascade of any node in component c (ascending node ids). Owned and
+  /// raw-borrowed storage only.
+  std::span<const NodeId> Cascade(uint32_t c) const {
+    SOI_DCHECK(!packed());
+    const auto no = node_offsets_view();
+    const auto ns = borrowed() ? b_nodes_ : std::span<const NodeId>(nodes);
+    SOI_DCHECK(c + 1 < no.size());
+    return std::span<const NodeId>(ns.data() + no[c], ns.data() + no[c + 1]);
+  }
+
+  /// Size of the CSR arrays in their raw form (the quantity the index's
+  /// closure-cache memory budget meters), in every mode: a closure loaded
+  /// from a snapshot reports the bytes it was built with. For a borrowed
+  /// closure the bytes live in the mapping, not on the heap.
+  uint64_t ApproxBytes() const {
+    const auto co = comp_offsets_view();
+    const auto no = node_offsets_view();
+    if (co.empty()) return 0;
+    return 8ull * co.size() + 4ull * co.back() + 8ull * no.size() +
+           4ull * no.back();
+  }
+
+  /// The element-offset arrays as spans, in every mode (a packed closure's
+  /// offsets are its runs' element offsets).
+  std::span<const uint64_t> comp_offsets_view() const {
+    return borrowed() ? b_comp_offsets_
+                      : std::span<const uint64_t>(comp_offsets);
   }
   std::span<const uint64_t> node_offsets_view() const {
-    return borrowed_ ? b_node_offsets_
-                     : std::span<const uint64_t>(node_offsets);
-  }
-  std::span<const NodeId> nodes_view() const {
-    return borrowed_ ? b_nodes_ : std::span<const NodeId>(nodes);
+    return borrowed() ? b_node_offsets_
+                      : std::span<const uint64_t>(node_offsets);
   }
 
  private:
-  bool borrowed_ = false;
+  enum class Storage : uint8_t { kOwned, kBorrowed, kPacked };
+  Storage storage_ = Storage::kOwned;
+  // Element offsets (raw-borrowed and packed modes).
   std::span<const uint64_t> b_comp_offsets_;
-  std::span<const uint32_t> b_comps_;
   std::span<const uint64_t> b_node_offsets_;
+  // Runs, raw-borrowed mode.
+  std::span<const uint32_t> b_comps_;
   std::span<const NodeId> b_nodes_;
+  // Runs and per-component byte offsets, packed mode.
+  std::span<const uint8_t> p_comps_;
+  std::span<const uint64_t> p_comp_bytes_;
+  std::span<const uint8_t> p_nodes_;
+  std::span<const uint64_t> p_node_bytes_;
 };
 
 /// Reusable scratch for MergeComponentMemberRuns (ping-pong buffers + run

@@ -436,6 +436,13 @@ Status Snapshot::Validate(const std::string& path,
                   : (with_closures ? WorldTier::kMaterialized
                                    : WorldTier::kTraversal);
   };
+  if (packed_closures) {
+    // The run walk below records one byte offset per entry of the closure
+    // offset pools (a section in the mapping, so its size is bounded).
+    const uint64_t entries = Find(SectionKind::kClosureCompOffsets)->elem_count;
+    closure_comp_bytes_.reserve(entries);
+    closure_node_bytes_.reserve(entries);
+  }
   for (uint64_t i = 0; i < w; ++i) {
     const WorldRecord& rec = wt[i];
     const WorldRecord& next = wt[i + 1];
@@ -513,10 +520,13 @@ Status Snapshot::Validate(const std::string& path,
       } else {
         // Packed closures: the runs sit back-to-back in component order
         // (no per-run byte offsets stored — the element counts from the
-        // offset pools delimit them). Walk and decode-validate every run,
-        // proving each varint well-formed, each id in range, and the byte
-        // extent filled exactly — after this, load-time cursors can trust
-        // the bytes unconditionally.
+        // offset pools delimit them). Walk and validate every run, proving
+        // each varint well-formed, each id in range, and the byte extent
+        // filled exactly — after this, the query-time decoder can trust
+        // the bytes unconditionally. The walk also records where each run
+        // starts: MakeIndex() serves the runs straight from the mapping
+        // through these byte offsets, laid out like the element-offset
+        // pools (nc + 1 local entries per materialized world).
         const auto comps_bytes =
             View<uint8_t>(SectionKind::kClosureCompsPacked);
         const auto nodes_bytes =
@@ -533,6 +543,8 @@ Status Snapshot::Validate(const std::string& path,
                                    " has invalid packed closure offsets");
         }
         uint64_t c_pos = 0, n_pos = 0;
+        closure_comp_bytes_.push_back(0);
+        closure_node_bytes_.push_back(0);
         for (uint64_t c = 0; c < nc; ++c) {
           uint64_t used_c = 0, used_n = 0;
           if (!ValidatePackedRunPrefix(
@@ -548,6 +560,8 @@ Status Snapshot::Validate(const std::string& path,
           }
           c_pos += used_c;
           n_pos += used_n;
+          closure_comp_bytes_.push_back(c_pos);
+          closure_node_bytes_.push_back(n_pos);
         }
         if (c_pos != comps_len || n_pos != nodes_len) {
           return Invalid(path, "world " + std::to_string(i) +
@@ -796,27 +810,23 @@ Result<CascadeIndex> Snapshot::MakeIndex() const {
                 .subspan(rec.closure_nodes_base,
                          next.closure_nodes_base - rec.closure_nodes_base));
       } else {
-        // Decode the varint runs into an owned closure — one linear pass
-        // over the packed bytes, validated up front by Open(). Runs are
-        // back-to-back; each cursor's end position starts the next run.
-        const auto comps_bytes =
-            View<uint8_t>(SectionKind::kClosureCompsPacked);
-        const auto nodes_bytes =
-            View<uint8_t>(SectionKind::kClosureNodesPacked);
-        cl.comp_offsets.assign(cco.begin(), cco.end());
-        cl.node_offsets.assign(cno.begin(), cno.end());
-        cl.comps.reserve(cco.back());
-        cl.nodes.reserve(cno.back());
-        const uint8_t* c_pos = comps_bytes.data() + rec.closure_comps_base;
-        const uint8_t* n_pos = nodes_bytes.data() + rec.closure_nodes_base;
-        for (uint64_t c = 0; c < nc; ++c) {
-          PackedRunCursor comps_run(c_pos, cco[c + 1] - cco[c]);
-          comps_run.AppendTo(&cl.comps);
-          c_pos = comps_run.pos();
-          PackedRunCursor nodes_run(n_pos, cno[c + 1] - cno[c]);
-          nodes_run.AppendTo(&cl.nodes);
-          n_pos = nodes_run.pos();
-        }
+        // Zero decode: the runs stay packed in the mapping, addressed by
+        // the byte offsets Validate() recorded (same layout as cco/cno).
+        cl = ReachabilityClosure::BorrowedPacked(
+            PackedRuns::Borrowed(
+                View<uint8_t>(SectionKind::kClosureCompsPacked)
+                    .subspan(rec.closure_comps_base,
+                             next.closure_comps_base - rec.closure_comps_base),
+                std::span<const uint64_t>(closure_comp_bytes_)
+                    .subspan(co_base, nc + 1),
+                cco),
+            PackedRuns::Borrowed(
+                View<uint8_t>(SectionKind::kClosureNodesPacked)
+                    .subspan(rec.closure_nodes_base,
+                             next.closure_nodes_base - rec.closure_nodes_base),
+                std::span<const uint64_t>(closure_node_bytes_)
+                    .subspan(co_base, nc + 1),
+                cno));
       }
       closures[i] = std::move(cl);
       if (tiered) c_off_base += nc + 1;
@@ -877,8 +887,7 @@ Status CheckSnapshotFreshness(const SnapshotInfo& info,
       std::string("stale snapshot: it captured a graph with fingerprint ") +
       snap_hex + " but the supplied graph fingerprints to " + graph_hex +
       " (the graph changed after the snapshot was written); re-create the "
-      "snapshot from the current graph, or drop --graph to serve the "
-      "snapshot's own state");
+      "snapshot from the current graph");
 }
 
 }  // namespace soi

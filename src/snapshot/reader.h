@@ -5,6 +5,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "graph/prob_graph.h"
 #include "index/cascade_index.h"
@@ -68,11 +69,12 @@ struct SnapshotInfo {
 /// validates untrusted bytes (never CHECK/aborts on them) and returns a
 /// shared handle; Make*() assemble zero-copy borrowed views into the
 /// mapping — loading is pointer fixup, the reachability cache is *read*,
-/// never rebuilt, and the mapping is physically shared with every other
-/// process serving the same file (page cache, PROT_READ). The one
-/// exception: delta-varint packed closures (kSnapFlagPackedClosures) are
-/// decoded into owned arrays at MakeIndex() time — a single linear pass
-/// over the packed bytes; labels and packed typical tables stay zero-copy.
+/// never rebuilt or decoded, and the mapping is physically shared with
+/// every other process serving the same file (page cache, PROT_READ).
+/// Delta-varint packed closures (kSnapFlagPackedClosures) stay packed:
+/// Open() validates every run and records where each one starts (one byte
+/// offset per run, the only per-run state on the heap), and queries decode
+/// the runs they touch straight from the mapping.
 ///
 /// Lifetime: every borrowed view is valid only while the Snapshot lives.
 /// service::Engine keeps the handle alive via its opaque storage anchor
@@ -123,12 +125,19 @@ class Snapshot {
   // readers).
   const SectionEntry* sections_[32] = {};
   SnapshotInfo info_;
+  // Packed closures: byte offset of every closure / cascade run, local to
+  // its world's extent, laid out like the element-offset pools 13/15
+  // (nc + 1 entries per materialized world). Recorded by Validate().
+  std::vector<uint64_t> closure_comp_bytes_;
+  std::vector<uint64_t> closure_node_bytes_;
 };
 
 /// Stale-snapshot guard: proves that `graph` is the graph this snapshot
 /// captured by comparing GraphFingerprint(graph) against the fingerprint
-/// recorded at write time. InvalidArgument (naming both fingerprints, with
-/// the fix spelled out) when they differ — serving a snapshot against a
+/// recorded at write time. InvalidArgument (naming both fingerprints, and
+/// ending with the fix every caller shares: re-create the snapshot from the
+/// current graph — callers append their own alternatives) when they
+/// differ — serving a snapshot against a
 /// graph that has since changed silently answers queries about edges that
 /// no longer exist. A recorded fingerprint of 0 means the file predates
 /// fingerprinting; freshness is then unknowable and the check passes.

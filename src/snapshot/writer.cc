@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <span>
 #include <vector>
 
 #include "infmax/sketch_oracle.h"
@@ -98,6 +99,7 @@ Result<std::string> SerializeSnapshot(const ProbGraph& graph,
   std::vector<uint64_t> closure_comp_offsets_pool, closure_node_offsets_pool;
   std::vector<uint32_t> closure_comps_pool, closure_nodes_pool;
   std::vector<uint8_t> comps_packed, nodes_packed;
+  std::vector<uint32_t> run;  // one closure / cascade run, decoded
   std::vector<uint64_t> label_offsets_pool;
   std::vector<uint32_t> label_bounds_pool, label_reach_pool;
   for (uint32_t i = 0; i < w; ++i) {
@@ -131,20 +133,32 @@ Result<std::string> SerializeSnapshot(const ProbGraph& graph,
       const auto cno = cl.node_offsets_view();
       closure_node_offsets_pool.insert(closure_node_offsets_pool.end(),
                                        cno.begin(), cno.end());
-      if (packed_closures) {
-        // Per-run delta-varint encode, back-to-back: the element offsets
-        // pooled above delimit the runs, so no byte offsets are stored.
-        for (uint32_t c = 0; c < nc; ++c) {
-          AppendPackedRun(cl.Closure(c), &comps_packed);
-          AppendPackedRun(cl.Cascade(c), &nodes_packed);
+      // Run by run. Packed runs are delta-varint encoded back-to-back: the
+      // element offsets pooled above delimit them, so no byte offsets are
+      // stored. A closure served packed from a snapshot has no spans; its
+      // runs are decoded into `run` first, so it re-serializes like a
+      // built one.
+      const auto emit = [&](std::span<const uint32_t> ids,
+                            std::vector<uint8_t>* packed_pool,
+                            std::vector<uint32_t>* raw_pool) {
+        if (packed_closures) {
+          AppendPackedRun(ids, packed_pool);
+        } else {
+          raw_pool->insert(raw_pool->end(), ids.begin(), ids.end());
         }
-      } else {
-        const auto cc = cl.comps_view();
-        closure_comps_pool.insert(closure_comps_pool.end(), cc.begin(),
-                                  cc.end());
-        const auto cn = cl.nodes_view();
-        closure_nodes_pool.insert(closure_nodes_pool.end(), cn.begin(),
-                                  cn.end());
+      };
+      for (uint32_t c = 0; c < nc; ++c) {
+        if (!cl.packed()) {
+          emit(cl.Closure(c), &comps_packed, &closure_comps_pool);
+          emit(cl.Cascade(c), &nodes_packed, &closure_nodes_pool);
+          continue;
+        }
+        run.clear();
+        cl.ForEachClosureComp(c, [&run](uint32_t x) { run.push_back(x); });
+        emit(run, &comps_packed, &closure_comps_pool);
+        run.clear();
+        cl.AppendCascade(c, &run);
+        emit(run, &nodes_packed, &closure_nodes_pool);
       }
     } else if (index.tier(i) == WorldTier::kLabels) {
       const ReachLabels& lb = index.labels(i);

@@ -25,8 +25,8 @@ struct SnapshotWriteOptions {
   const FlatSets* typical = nullptr;
   /// Store closure runs and typical sets delta-varint packed
   /// (util/packed_runs.h) — typically ~4x smaller sections, at the cost of
-  /// one linear decode of the materialized closures at load time (interval
-  /// labels and the packed typical table stay zero-copy). false writes the
+  /// a validation pass over the runs at load time and a run decode per
+  /// query that touches them (nothing is decoded at load). false writes the
   /// v1.0 raw layout when the index tiering allows it (all worlds
   /// materialized, or none retained).
   bool pack = true;
@@ -43,8 +43,9 @@ struct SnapshotWriteOptions {
 /// assignment — the tiering round-trips exactly), and optionally the
 /// typical-cascade table.
 ///
-/// The writer works from the mode-independent span accessors, so it can
-/// round-trip a snapshot-backed (borrowed) state as well as an owned one.
+/// The writer works from the mode-independent accessors, so it can
+/// round-trip a snapshot-backed (raw- or packed-borrowed) state as well as
+/// an owned one.
 Result<std::string> SerializeSnapshot(const ProbGraph& graph,
                                       const CascadeIndex& index,
                                       const SnapshotWriteOptions& options = {});

@@ -31,7 +31,7 @@ namespace soi {
 ///    ~1 byte/element for dense sorted runs instead of 4. Requires every
 ///    set to be strictly ascending — which all the arenas named above are
 ///    by construction. Set(i) is unavailable; consumers stream via
-///    Cursor(i)/ForEach() or decode with AppendSetTo(). BorrowedPacked()
+///    ForEach() or decode with AppendSetTo(). BorrowedPacked()
 ///    wraps packed snapshot sections with zero copy.
 /// num_sets/SetSize/total_elements and the append mutators work in either
 /// mode, so cover engines and sweeps consume both encodings transparently.
@@ -117,7 +117,7 @@ class FlatSets {
   uint64_t total_elements() const { return offsets().back(); }
 
   /// Raw-mode span access. Packed sets have no contiguous uint32 storage —
-  /// use Cursor()/ForEach()/AppendSetTo() there.
+  /// use ForEach()/AppendSetTo() there.
   std::span<const uint32_t> Set(size_t i) const {
     SOI_DCHECK(!packed_);
     const auto off = offsets();
@@ -132,12 +132,6 @@ class FlatSets {
     return off[i + 1] - off[i];
   }
 
-  /// Streaming decoder over set i (packed mode only).
-  PackedRunCursor Cursor(size_t i) const {
-    SOI_DCHECK(packed_);
-    return runs_.Run(i);
-  }
-
   /// Calls fn(element) for every element of set i in order, whatever the
   /// encoding — the one consumption idiom that is mode-transparent. The
   /// raw branch compiles down to the plain span loop.
@@ -147,8 +141,7 @@ class FlatSets {
       for (uint32_t e : Set(i)) fn(e);
       return;
     }
-    PackedRunCursor cur = runs_.Run(i);
-    while (!cur.Done()) fn(cur.Next());
+    runs_.ForEach(i, fn);
   }
 
   /// Appends set i, decoded if necessary, to *out.
@@ -308,13 +301,12 @@ class FlatSets {
     }
     const FlatSets& packed = packed_ ? *this : other;
     const FlatSets& raw = packed_ ? other : *this;
-    for (size_t i = 0; i < raw.num_sets(); ++i) {
-      PackedRunCursor cur = packed.runs_.Run(i);
-      for (uint32_t e : raw.Set(i)) {
-        if (cur.Next() != e) return false;
-      }
+    bool equal = true;
+    for (size_t i = 0; i < raw.num_sets() && equal; ++i) {
+      const uint32_t* e = raw.Set(i).data();  // same size: offsets are equal
+      packed.runs_.ForEach(i, [&](uint32_t v) { equal &= v == *e++; });
     }
-    return true;
+    return equal;
   }
 
  private:

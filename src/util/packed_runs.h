@@ -18,8 +18,9 @@ namespace soi {
 /// (LEB128, 7 bits per byte). Sorted member-id runs are dominated by small
 /// gaps, so dense cascade runs land near 1 byte/element instead of 4 — the
 /// encoding behind the packed snapshot sections and the packed FlatSets
-/// mode. Decoding is a sequential cursor; there is deliberately no random
-/// access inside a run (consumers either stream or decode into scratch).
+/// mode. Runs are randomly addressable through a per-run byte offset
+/// (PackedRuns keeps one per run); inside a run decoding is sequential,
+/// with a fast path for the 1-byte varints that dominate dense runs.
 ///
 /// Storage is dual-mode like every other arena in the tree: a
 /// default-constructed PackedRuns owns its byte buffer and supports AddRun;
@@ -38,53 +39,44 @@ inline void AppendVarint(uint32_t v, std::vector<uint8_t>* out) {
 /// Appends the delta-varint encoding of a strictly ascending run.
 void AppendPackedRun(std::span<const uint32_t> run, std::vector<uint8_t>* out);
 
-/// Sequential decoder over one encoded run. The caller supplies the element
-/// count (packed storage keeps element offsets separately — e.g. the closure
-/// node_offsets pool — so counts are never re-derived from the bytes).
-class PackedRunCursor {
- public:
-  PackedRunCursor() = default;
-  PackedRunCursor(const uint8_t* pos, uint64_t remaining)
-      : pos_(pos), remaining_(remaining) {}
-
-  uint64_t remaining() const { return remaining_; }
-  bool Done() const { return remaining_ == 0; }
-
-  /// Next element of the run. Precondition (debug-checked): !Done().
-  uint32_t Next() {
-    SOI_DCHECK(remaining_ > 0);
-    uint32_t delta = 0;
-    uint32_t shift = 0;
-    uint8_t byte;
-    do {
-      byte = *pos_++;
-      delta |= static_cast<uint32_t>(byte & 0x7F) << shift;
-      shift += 7;
-    } while (byte & 0x80);
-    // First element is absolute; subsequent ones store (gap - 1).
-    prev_ = first_ ? delta : prev_ + delta + 1;
-    first_ = false;
-    --remaining_;
-    return prev_;
+/// The one decoder: calls fn(value) for each of the `count` elements of the
+/// run encoded at `pos`, in order, and returns the read head past the run.
+/// The caller supplies the element count (packed storage keeps element
+/// offsets separately — e.g. the closure node_offsets pool — so counts are
+/// never re-derived from the bytes). The bytes must have passed
+/// ValidatePackedRun (snapshot Open() validates every stored run), so no
+/// bound is checked here.
+///
+/// The running value starts at "-1" (UINT32_MAX), which makes the absolute
+/// first element and the (gap - 1) deltas after it one formula:
+/// value += delta + 1, modulo 2^32.
+template <typename Fn>
+const uint8_t* ForEachPacked(const uint8_t* pos, uint64_t count, Fn&& fn) {
+  uint32_t value = ~uint32_t{0};
+  for (uint64_t k = 0; k < count; ++k) {
+    uint32_t delta = *pos++;
+    if (delta >= 0x80) [[unlikely]] {
+      delta &= 0x7F;
+      uint32_t shift = 7;
+      uint8_t byte;
+      do {
+        byte = *pos++;
+        delta |= static_cast<uint32_t>(byte & 0x7F) << shift;
+        shift += 7;
+      } while (byte & 0x80);
+    }
+    value += delta + 1;
+    fn(value);
   }
+  return pos;
+}
 
-  /// Appends the rest of the run to *out.
-  void AppendTo(std::vector<uint32_t>* out) {
-    out->reserve(out->size() + remaining_);
-    while (!Done()) out->push_back(Next());
-  }
-
-  /// Read head after the bytes consumed so far. Runs are self-delimiting
-  /// given their element counts, so back-to-back runs (the packed closure
-  /// pools) decode with one cursor per run chained through pos().
-  const uint8_t* pos() const { return pos_; }
-
- private:
-  const uint8_t* pos_ = nullptr;
-  uint64_t remaining_ = 0;
-  uint32_t prev_ = 0;
-  bool first_ = true;
-};
+/// Decodes the `count`-element run at `pos` into out[0, count) (pre-sized
+/// by the caller); returns the read head past the run.
+inline const uint8_t* DecodePackedRun(const uint8_t* pos, uint64_t count,
+                                      uint32_t* out) {
+  return ForEachPacked(pos, count, [&out](uint32_t v) { *out++ = v; });
+}
 
 /// A CSR-style arena of packed runs: one byte buffer plus byte offsets and
 /// element counts per run.
@@ -146,16 +138,17 @@ class PackedRuns {
     return eo[i + 1] - eo[i];
   }
 
-  PackedRunCursor Run(size_t i) const {
-    const auto bo = byte_offsets();
-    SOI_DCHECK(i + 1 < bo.size());
-    return PackedRunCursor(bytes().data() + bo[i], RunLength(i));
+  /// Calls fn(element) for every element of run i, in order.
+  template <typename Fn>
+  void ForEach(size_t i, Fn&& fn) const {
+    ForEachPacked(RunBytes(i), RunLength(i), fn);
   }
 
   /// Appends run i, decoded, to *out.
   void AppendRun(size_t i, std::vector<uint32_t>* out) const {
-    PackedRunCursor c = Run(i);
-    c.AppendTo(out);
+    const size_t base = out->size();
+    out->resize(base + RunLength(i));
+    DecodePackedRun(RunBytes(i), RunLength(i), out->data() + base);
   }
 
   /// Heap/mapped footprint of the arena.
@@ -177,6 +170,12 @@ class PackedRuns {
   }
 
  private:
+  const uint8_t* RunBytes(size_t i) const {
+    const auto bo = byte_offsets();
+    SOI_DCHECK(i + 1 < bo.size());
+    return bytes().data() + bo[i];
+  }
+
   std::vector<uint8_t> bytes_;
   std::vector<uint64_t> byte_offsets_;  // byte_offsets_[0] == 0
   std::vector<uint64_t> elem_offsets_;  // elem_offsets_[0] == 0
@@ -190,8 +189,10 @@ class PackedRuns {
 /// Validates one encoded run without materializing it: every varint must be
 /// well-formed and in-bounds, the byte extent must be consumed exactly, the
 /// decoded values strictly ascending and < `id_bound`. This is what snapshot
-/// validation runs over packed sections, so query-time cursors can trust the
-/// bytes.
+/// validation runs over packed sections, so the query-time decoder
+/// (ForEachPacked) can trust the bytes. Values strictly increase, so only
+/// the last one is checked against `id_bound`; single-byte varints are
+/// validated eight at a time.
 bool ValidatePackedRun(std::span<const uint8_t> bytes, uint64_t elem_count,
                        uint64_t id_bound);
 

@@ -228,6 +228,23 @@ TEST(CliGoldenTest, SphereRejectsAnIndexOfAnotherGraph) {
       << run.stdout_text;
   EXPECT_NE(run.stdout_text.find(edited_fp), std::string::npos)
       << run.stdout_text;
+  // sphere --index requires --graph, so the remedy is a new index only.
+  EXPECT_NE(run.stdout_text.find("soi_cli index"), std::string::npos)
+      << run.stdout_text;
+  EXPECT_EQ(run.stdout_text.find("drop --graph"), std::string::npos)
+      << run.stdout_text;
+
+  // serve --snapshot takes --graph only as a check, so dropping it is a
+  // remedy there.
+  const CliRun serve = RunShell(std::string("'") + SOI_CLI_PATH +
+                                "' serve --snapshot '" + index +
+                                "' --graph '" + edited +
+                                "' --stdin < /dev/null 2>&1");
+  EXPECT_NE(serve.exit_code, 0) << serve.stdout_text;
+  EXPECT_NE(serve.stdout_text.find("stale snapshot"), std::string::npos)
+      << serve.stdout_text;
+  EXPECT_NE(serve.stdout_text.find("drop --graph"), std::string::npos)
+      << serve.stdout_text;
 }
 
 TEST(CliGoldenTest, TypicalStdoutMatchesGoldenAcrossThreadsAndMetrics) {

@@ -22,6 +22,7 @@
 #include "scc/closure.h"
 #include "scc/condensation.h"
 #include "scc/transitive.h"
+#include "util/packed_runs.h"
 #include "util/rng.h"
 
 namespace soi {
@@ -463,6 +464,109 @@ TEST_P(ClosureEquivalenceTest, LabelsTierByteIdenticalAcrossThreads) {
   EXPECT_EQ(oracle_lab.Add(3), oracle_mat.Add(3));
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     ASSERT_EQ(oracle_lab.MarginalGain(v), oracle_mat.MarginalGain(v));
+  }
+}
+
+// An index over the same worlds whose closures borrow packed runs (the
+// snapshot's serving form), encoded from `built`'s closures into `comps` /
+// `nodes`, which must outlive the returned index.
+CascadeIndex PackedCopy(const CascadeIndex& built,
+                        std::vector<PackedRuns>* comps,
+                        std::vector<PackedRuns>* nodes) {
+  const uint32_t l = built.num_worlds();
+  comps->assign(l, PackedRuns());
+  nodes->assign(l, PackedRuns());
+  std::vector<Condensation> worlds;
+  std::vector<ReachabilityClosure> closures(l);
+  for (uint32_t i = 0; i < l; ++i) {
+    worlds.push_back(built.world(i));
+    const ReachabilityClosure& cl = built.closure(i);
+    for (uint32_t c = 0; c < cl.num_components(); ++c) {
+      (*comps)[i].AddRun(cl.Closure(c));
+      (*nodes)[i].AddRun(cl.Cascade(c));
+    }
+    closures[i] = ReachabilityClosure::BorrowedPacked((*comps)[i], (*nodes)[i]);
+  }
+  auto index = CascadeIndex::FromParts(
+      built.num_nodes(), std::move(worlds), std::move(closures), {},
+      std::vector<WorldTier>(l, WorldTier::kMaterialized));
+  EXPECT_TRUE(index.ok());
+  return std::move(index).value();
+}
+
+TEST_P(ClosureEquivalenceTest, MultiSeedAndPackedBorrowedAgreeAcrossTiers) {
+  const auto [model, reduction] = GetParam();
+  const ProbGraph g = TestGraph(model);
+  const CascadeIndex materialized = BuildIndex(g, model, reduction, 512);
+  const CascadeIndex labeled = BuildIndex(
+      g, model, reduction, 512, 48, 11, ClosureTierPolicy::kLabels);
+  const CascadeIndex plain = BuildIndex(g, model, reduction, 0);
+  ASSERT_TRUE(materialized.has_closure_cache());
+  ASSERT_EQ(labeled.stats().worlds_labeled, labeled.num_worlds());
+  std::vector<PackedRuns> comps, nodes;
+  const CascadeIndex packed = PackedCopy(materialized, &comps, &nodes);
+  ASSERT_TRUE(packed.has_closure_cache());
+  EXPECT_EQ(packed.stats().closure_bytes, materialized.stats().closure_bytes);
+  const CascadeIndex* indexes[] = {&materialized, &labeled, &plain, &packed};
+
+  // Closure by closure, the packed runs decode to the owned ones.
+  std::vector<uint32_t> ids;
+  std::vector<NodeId> run;
+  for (uint32_t i = 0; i < materialized.num_worlds(); ++i) {
+    const ReachabilityClosure& owned = materialized.closure(i);
+    const ReachabilityClosure& borrowed = packed.closure(i);
+    ASSERT_TRUE(borrowed.borrowed() && borrowed.packed());
+    for (uint32_t c = 0; c < owned.num_components(); ++c) {
+      ids.clear();
+      borrowed.ForEachClosureComp(c, [&](uint32_t x) { ids.push_back(x); });
+      ASSERT_TRUE(std::ranges::equal(ids, owned.Closure(c)));
+      run.clear();
+      borrowed.AppendCascade(c, &run);
+      ASSERT_TRUE(std::ranges::equal(run, owned.Cascade(c)));
+      ASSERT_EQ(borrowed.NodeCount(c), owned.NodeCount(c));
+    }
+  }
+
+  const NodeId n = g.num_nodes();
+  std::vector<CascadeIndex::Workspace> ws(4);
+  for (uint32_t i = 0; i < materialized.num_worlds(); ++i) {
+    std::vector<std::vector<NodeId>> seed_sets = {
+        {4, 4}, {0, 1, 0}, {2, 3, 5, 7, 3, 2}, {9, 21, 33, 47, 60, 71, 88,
+                                                 95, 101, static_cast<NodeId>(n - 1)}};
+    // Seeds inside another seed's closure, in both orders: the second seed
+    // of {s, t} is covered already, the first seed of {t, s} is not.
+    for (const NodeId s : {NodeId{0}, NodeId{17}, static_cast<NodeId>(n / 2)}) {
+      const auto reach = materialized.Cascade(s, i, &ws[0]).value();
+      const NodeId t = reach[reach.size() / 2];
+      seed_sets.push_back({s, t});
+      seed_sets.push_back({t, s});
+      seed_sets.push_back({t, s, reach.back(), s});
+    }
+    for (const auto& seeds : seed_sets) {
+      const auto expected = plain.Cascade(seeds, i, &ws[2]).value();
+      for (size_t k = 0; k < 4; ++k) {
+        ASSERT_EQ(indexes[k]->Cascade(seeds, i, &ws[k]).value(), expected)
+            << "index " << k << " world " << i;
+        ASSERT_EQ(indexes[k]->CascadeSize(seeds, i, &ws[k]).value(),
+                  expected.size())
+            << "index " << k << " world " << i;
+      }
+    }
+    for (NodeId v = 0; v < n; ++v) {
+      ASSERT_EQ(packed.Cascade(v, i, &ws[3]).value(),
+                materialized.Cascade(v, i, &ws[0]).value());
+    }
+  }
+
+  // The typical sweep byte-identical with packed worlds extracted.
+  TypicalCascadeComputer a(&materialized);
+  TypicalCascadeComputer b(&packed);
+  const auto sa = a.ComputeAll({});
+  const auto sb = b.ComputeAll({});
+  ASSERT_TRUE(sa.ok() && sb.ok());
+  for (NodeId v = 0; v < n; ++v) {
+    ASSERT_EQ((*sa)[v].cascade, (*sb)[v].cascade);
+    ASSERT_EQ((*sa)[v].in_sample_cost, (*sb)[v].in_sample_cost);
   }
 }
 

@@ -76,11 +76,37 @@ TEST_P(FuzzSweep, IndexDeserializerNeverCrashesOnGarbage) {
   }
 }
 
-// Flips one byte of a small valid snapshot at every offset and opens it
-// with full validation. A flip inside
+// Assembles the index of an opened snapshot and queries every world: a
+// multi-seed spread (duplicate seeds included) and a single-seed cascade
+// per node. Packed closures are decoded only here, at query time, so this
+// is what runs the decoder over whatever bytes Open() let through.
+void QueryEveryWorld(const Snapshot& snap, size_t pos) {
+  auto index = snap.MakeIndex();
+  ASSERT_TRUE(index.ok()) << "flip at byte " << pos << ": "
+                          << index.status().ToString();
+  const NodeId n = index->num_nodes();
+  const NodeId seeds[] = {0, n / 2, n - 1, n / 2, 1 % n};
+  CascadeIndex::Workspace ws;
+  for (uint32_t i = 0; i < index->num_worlds(); ++i) {
+    const auto size = index->CascadeSize(seeds, i, &ws);
+    ASSERT_TRUE(size.ok());
+    EXPECT_LE(*size, uint64_t{n}) << "flip at byte " << pos;
+    for (NodeId v = 0; v < n; ++v) {
+      const auto cascade = index->Cascade(v, i, &ws);
+      ASSERT_TRUE(cascade.ok());
+      EXPECT_LE(cascade->size(), size_t{n}) << "flip at byte " << pos;
+    }
+  }
+}
+
+// Flips one byte of a small valid (packed) snapshot at every offset and
+// opens it at both validation levels. Under full validation a flip inside
 // the header, the section table or a section payload must be rejected: the
 // CRCs cover all three. The zero-filled alignment padding between sections
-// is covered by no CRC, so a flip there only has to not crash.
+// is covered by no CRC, so a flip there only has to not crash. Structural
+// validation checks no payload CRC, so many payload flips pass it; every
+// file either level accepts must assemble and answer queries on every
+// world without a crash (the sanitizer jobs run this sweep).
 TEST_P(FuzzSweep, IndexDeserializerRejectsMutatedValidPayload) {
   Rng gen_rng(2000 + GetParam());
   auto topo = GenerateErdosRenyi(20, 50, false, &gen_rng);
@@ -96,7 +122,9 @@ TEST_P(FuzzSweep, IndexDeserializerRejectsMutatedValidPayload) {
   const std::string path = TestTempPath("flip.soisnap");
   ASSERT_TRUE(WriteSnapshot(*g, *index, path).ok());
   const std::string bytes = ReadFile(path);
-  ASSERT_TRUE(Snapshot::Open(path, SnapshotValidation::kFull).ok());
+  const auto pristine = Snapshot::Open(path, SnapshotValidation::kFull);
+  ASSERT_TRUE(pristine.ok());
+  ASSERT_TRUE((*pristine)->info().packed);
 
   SnapshotHeader header;
   ASSERT_GE(bytes.size(), sizeof(header));
@@ -131,8 +159,11 @@ TEST_P(FuzzSweep, IndexDeserializerRejectsMutatedValidPayload) {
       if (covered[pos]) {
         EXPECT_FALSE(snap.ok()) << "flip at byte " << pos << " accepted";
       } else if (snap.ok()) {
-        EXPECT_TRUE((*snap)->MakeIndex().ok()) << "flip at byte " << pos;
+        QueryEveryWorld(**snap, pos);
       }
+      const auto structural =
+          Snapshot::Open(path, SnapshotValidation::kStructural);
+      if (structural.ok()) QueryEveryWorld(**structural, pos);
     }
     put(pos, bytes[pos]);
   }

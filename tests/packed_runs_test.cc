@@ -1,6 +1,7 @@
 // Tests for the delta-varint packed-run encoding (util/packed_runs.h), the
 // packed FlatSets mode (util/flat_sets.h), and the bump arena
-// (util/arena.h): encode/decode round trips, validation rejections, and
+// (util/arena.h): encode/decode round trips, validation rejections, the
+// fast validator against its one-varint-at-a-time reference, and
 // byte-identical cover-engine selections across encodings.
 
 #include <cstdint>
@@ -23,10 +24,47 @@ namespace soi {
 namespace {
 
 std::vector<uint32_t> Decode(std::span<const uint8_t> bytes, uint64_t count) {
-  PackedRunCursor cur(bytes.data(), count);
-  std::vector<uint32_t> out;
-  cur.AppendTo(&out);
+  std::vector<uint32_t> out(count);
+  const uint8_t* end = DecodePackedRun(bytes.data(), count, out.data());
+  EXPECT_EQ(end, bytes.data() + bytes.size());  // runs are self-delimiting
   return out;
+}
+
+// The validator before its fast path (one varint at a time, every value
+// checked), kept verbatim as the reference the fast one must agree with.
+bool ReferenceValidatePackedRunPrefix(std::span<const uint8_t> bytes,
+                                      uint64_t elem_count, uint64_t id_bound,
+                                      uint64_t* consumed) {
+  const uint8_t* pos = bytes.data();
+  const uint8_t* end = pos + bytes.size();
+  uint64_t prev = 0;
+  for (uint64_t k = 0; k < elem_count; ++k) {
+    uint64_t delta = 0;
+    uint32_t shift = 0;
+    uint8_t byte;
+    do {
+      if (pos == end || shift > 28) return false;  // truncated / oversized
+      byte = *pos++;
+      delta |= static_cast<uint64_t>(byte & 0x7F) << shift;
+      shift += 7;
+    } while (byte & 0x80);
+    if (delta > ~uint32_t{0}) return false;
+    const uint64_t value = k == 0 ? delta : prev + delta + 1;
+    // Must stay uint32-representable (the cursor decodes into uint32) and
+    // inside the caller's id universe.
+    if (value > ~uint32_t{0} || value >= id_bound) return false;
+    prev = value;
+  }
+  *consumed = static_cast<uint64_t>(pos - bytes.data());
+  return true;
+}
+
+bool ReferenceValidatePackedRun(std::span<const uint8_t> bytes,
+                                uint64_t elem_count, uint64_t id_bound) {
+  uint64_t consumed = 0;
+  return ReferenceValidatePackedRunPrefix(bytes, elem_count, id_bound,
+                                          &consumed) &&
+         consumed == bytes.size();  // extent must be consumed exactly
 }
 
 TEST(PackedRunTest, RoundTripsRepresentativeRuns) {
@@ -94,6 +132,102 @@ TEST(PackedRunTest, ValidateRejectsMalformedBytes) {
   // Empty run: valid at count 0.
   EXPECT_TRUE(ValidatePackedRun({}, 0, 1));
   EXPECT_FALSE(ValidatePackedRun({}, 1, 1));
+}
+
+// Both validators on one input: same verdict, and the same consumed length
+// when they accept.
+void ExpectSameVerdict(std::span<const uint8_t> bytes, uint64_t count,
+                       uint64_t bound, uint64_t* accepted) {
+  uint64_t fast_used = 0, ref_used = 0;
+  const bool fast = ValidatePackedRunPrefix(bytes, count, bound, &fast_used);
+  const bool ref =
+      ReferenceValidatePackedRunPrefix(bytes, count, bound, &ref_used);
+  ASSERT_EQ(fast, ref) << "count " << count << " bound " << bound
+                       << " bytes " << bytes.size();
+  if (fast) {
+    ASSERT_EQ(fast_used, ref_used);
+    ++*accepted;
+  }
+  ASSERT_EQ(ValidatePackedRun(bytes, count, bound),
+            ReferenceValidatePackedRun(bytes, count, bound));
+}
+
+TEST(PackedRunTest, FastValidatorMatchesReference) {
+  std::mt19937_64 gen(20260601);
+  uint64_t accepted = 0, checked = 0;
+  const auto check = [&](std::span<const uint8_t> bytes, uint64_t count,
+                         uint64_t bound) {
+    ++checked;
+    ExpectSameVerdict(bytes, count, bound, &accepted);
+  };
+  for (int trial = 0; trial < 3000; ++trial) {
+    // A valid run: mostly 1-byte gaps (the fast path), some multi-byte
+    // ones, sometimes starting near the top of the uint32 range.
+    const uint64_t len = gen() % 70;
+    std::vector<uint32_t> run;
+    uint64_t v = trial % 7 == 0 ? 0xFFFFFFFFull - gen() % 200 : gen() % 300;
+    while (run.size() < len && v <= 0xFFFFFFFFull) {
+      run.push_back(static_cast<uint32_t>(v));
+      v += gen() % 8 == 0 ? 1 + gen() % 100000 : 1 + gen() % 128;
+    }
+    std::vector<uint8_t> bytes;
+    AppendPackedRun(run, &bytes);
+    const uint64_t n = run.size();
+    const uint64_t last = n == 0 ? 0 : run.back();
+    for (const uint64_t bound :
+         {last, last + 1, last + 2, uint64_t{1} << 32, uint64_t{1} << 33,
+          gen() % (last + 2), uint64_t{0}}) {
+      check(bytes, n, bound);
+      check(bytes, n + 1, bound);  // long count: runs out of bytes
+      if (n > 0) check(bytes, n - 1, bound);  // short count
+    }
+    const uint64_t bound = uint64_t{1} << 33;
+    // Truncated and extended extents.
+    for (size_t cut = 0; cut < bytes.size(); cut += 1 + gen() % 4) {
+      check(std::span<const uint8_t>(bytes.data(), cut), n, bound);
+    }
+    std::vector<uint8_t> longer = bytes;
+    for (int extra = 0; extra < 9; ++extra) {
+      longer.push_back(static_cast<uint8_t>(gen()));
+      check(longer, n, bound);
+    }
+    if (bytes.empty()) continue;
+    // Mutations: a random byte, a set or cleared continuation bit, an
+    // overlong varint spliced in, a 5-byte varint above 2^32.
+    for (int m = 0; m < 6; ++m) {
+      std::vector<uint8_t> mutated = bytes;
+      const size_t at = gen() % mutated.size();
+      switch (m) {
+        case 0: mutated[at] = static_cast<uint8_t>(gen()); break;
+        case 1: mutated[at] |= 0x80; break;
+        case 2: mutated[at] &= 0x7F; break;
+        case 3:
+          mutated.insert(mutated.begin() + at, {0x80, 0x80, 0x80, 0x80, 0x80});
+          break;
+        case 4:
+          mutated.insert(mutated.begin() + at, {0xFF, 0xFF, 0xFF, 0xFF, 0x7F});
+          break;
+        case 5:
+          mutated.insert(mutated.begin() + at, {0xFF, 0xFF, 0xFF, 0xFF, 0x0F});
+          break;
+      }
+      for (const uint64_t count : {n - 1, n, n + 1}) {
+        check(mutated, count, bound);
+        check(mutated, count, last + 1);
+      }
+    }
+  }
+  // Pure noise, mostly single-byte varints so the fast path runs.
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::vector<uint8_t> noise(gen() % 40);
+    for (uint8_t& b : noise) {
+      b = static_cast<uint8_t>(gen() % 16 == 0 ? gen() : gen() & 0x7F);
+    }
+    check(noise, gen() % (noise.size() + 2), 1 + gen() % 4000);
+  }
+  // Both verdicts occur often enough for the comparison to mean something.
+  EXPECT_GT(accepted, checked / 20);
+  EXPECT_LT(accepted, checked - checked / 20);
 }
 
 TEST(PackedRunsTest, ArenaAddAppendAndBorrow) {

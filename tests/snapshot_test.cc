@@ -98,6 +98,20 @@ SectionEntry FindSection(const std::string& bytes, SectionKind kind) {
   return SectionEntry{};
 }
 
+// A component's closure and cascade run through the accessors every
+// storage mode answers (owned, raw-borrowed, packed-borrowed).
+std::vector<uint32_t> ClosureOf(const ReachabilityClosure& cl, uint32_t c) {
+  std::vector<uint32_t> out;
+  cl.ForEachClosureComp(c, [&out](uint32_t x) { out.push_back(x); });
+  return out;
+}
+
+std::vector<NodeId> CascadeOf(const ReachabilityClosure& cl, uint32_t c) {
+  std::vector<NodeId> out;
+  cl.AppendCascade(c, &out);
+  return out;
+}
+
 TEST(Crc32cTest, MatchesKnownVectors) {
   // The canonical CRC-32C check value (RFC 3720 appendix B.4).
   const char digits[] = "123456789";
@@ -153,12 +167,9 @@ TEST(SnapshotRoundTrip, GraphIndexAndClosuresSurvive) {
     const ReachabilityClosure& cb = borrowed->closure(w);
     ASSERT_EQ(ca.num_components(), cb.num_components());
     for (uint32_t c = 0; c < ca.num_components(); ++c) {
-      const auto xa = ca.Closure(c);
-      const auto xb = cb.Closure(c);
-      ASSERT_TRUE(std::equal(xa.begin(), xa.end(), xb.begin(), xb.end()));
-      const auto na = ca.Cascade(c);
-      const auto nb = cb.Cascade(c);
-      ASSERT_TRUE(std::equal(na.begin(), na.end(), nb.begin(), nb.end()));
+      ASSERT_EQ(ClosureOf(ca, c), ClosureOf(cb, c));
+      ASSERT_EQ(CascadeOf(ca, c), CascadeOf(cb, c));
+      ASSERT_EQ(ca.NodeCount(c), cb.NodeCount(c));
     }
   }
 }
@@ -589,15 +600,92 @@ TEST(SnapshotPackedTest, PackedFileIsSmallerAndAnswersIdentically) {
       const ReachabilityClosure& cb = loaded->closure(w);
       ASSERT_EQ(ca.num_components(), cb.num_components());
       for (uint32_t c = 0; c < ca.num_components(); ++c) {
-        const auto xa = ca.Closure(c), xb = cb.Closure(c);
-        ASSERT_TRUE(std::equal(xa.begin(), xa.end(), xb.begin(), xb.end()))
+        ASSERT_EQ(ClosureOf(ca, c), ClosureOf(cb, c))
             << "pack " << pack << " world " << w << " comp " << c;
-        const auto na = ca.Cascade(c), nb = cb.Cascade(c);
-        ASSERT_TRUE(std::equal(na.begin(), na.end(), nb.begin(), nb.end()))
+        ASSERT_EQ(CascadeOf(ca, c), CascadeOf(cb, c))
             << "pack " << pack << " world " << w << " comp " << c;
+        ASSERT_EQ(ca.NodeCount(c), cb.NodeCount(c));
       }
     }
   }
+}
+
+TEST(SnapshotPackedTest, MakeIndexServesPackedClosuresWithoutDecoding) {
+  // Enough nodes for gaps of 128 and more (some cascade runs need
+  // multi-byte varints, so both decoder paths run) and probabilities high
+  // enough for cascades far longer than the offset arrays.
+  Rng rng(37);
+  auto topology = GenerateErdosRenyi(400, 1600, /*undirected=*/false, &rng);
+  ASSERT_TRUE(topology.ok());
+  auto assigned = AssignUniform(*topology, &rng, 0.2, 0.5);
+  ASSERT_TRUE(assigned.ok());
+  const ProbGraph graph = std::move(assigned).value();
+  const CascadeIndex index =
+      BuildIndex(graph, PropagationModel::kIndependentCascade);
+  ASSERT_TRUE(index.has_closure_cache());
+  const std::string bytes = SnapshotBytes(graph, index);
+  uint64_t run_nodes = 0;
+  for (uint32_t w = 0; w < index.num_worlds(); ++w) {
+    run_nodes += index.closure(w).node_offsets_view().back();
+  }
+  ASSERT_GT(FindSection(bytes, SectionKind::kClosureNodesPacked).byte_size,
+            run_nodes);
+  const std::string path = TestTempPath("zero_decode.soisnap");
+  WriteBytes(path, bytes);
+  auto snap = Snapshot::Open(path);
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  ASSERT_TRUE((*snap)->info().packed);
+  auto loaded = (*snap)->MakeIndex();
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_TRUE(loaded->has_closure_cache());
+
+  // Every closure is a view of the mapping: the heap holds its offsets
+  // (O(components)), never its runs (O(closure elements)).
+  uint64_t owned_bytes = 0, slots = 0, elements = 0;
+  for (uint32_t w = 0; w < loaded->num_worlds(); ++w) {
+    const ReachabilityClosure& cl = loaded->closure(w);
+    EXPECT_TRUE(cl.borrowed()) << "world " << w;
+    EXPECT_TRUE(cl.packed()) << "world " << w;
+    owned_bytes += 8 * (cl.comp_offsets.capacity() +
+                        cl.node_offsets.capacity()) +
+                   4 * (cl.comps.capacity() + cl.nodes.capacity());
+    slots += cl.num_components() + 1;
+    elements += cl.comp_offsets_view().back() + cl.node_offsets_view().back();
+  }
+  EXPECT_LE(owned_bytes, 16 * slots);
+  ASSERT_GT(elements, 4 * slots);  // the bound above tells the two apart
+  // The stats still meter the closures at the size they were built with.
+  EXPECT_EQ(loaded->stats().closure_bytes, index.stats().closure_bytes);
+  EXPECT_EQ(loaded->stats().approx_bytes, index.stats().approx_bytes);
+
+  // Decoded per query, the answers are the built index's.
+  CascadeIndex::Workspace ws_a, ws_b;
+  const std::vector<std::vector<NodeId>> seed_sets = {
+      {5}, {0, 1}, {7, 7}, {3, 50, 99, 3, 399}};
+  for (uint32_t w = 0; w < index.num_worlds(); ++w) {
+    for (NodeId v = 0; v < graph.num_nodes(); ++v) {
+      ASSERT_EQ(loaded->Cascade(v, w, &ws_a).value(),
+                index.Cascade(v, w, &ws_b).value());
+    }
+    for (const auto& seeds : seed_sets) {
+      ASSERT_EQ(loaded->Cascade(seeds, w, &ws_a).value(),
+                index.Cascade(seeds, w, &ws_b).value());
+      ASSERT_EQ(loaded->CascadeSize(seeds, w, &ws_a).value(),
+                index.CascadeSize(seeds, w, &ws_b).value());
+    }
+  }
+  // The typical sweep extracts packed worlds instead of spanning them.
+  TypicalCascadeComputer built_computer(&index);
+  TypicalCascadeComputer loaded_computer(&*loaded);
+  auto built_sweep = built_computer.ComputeAllFlat();
+  auto loaded_sweep = loaded_computer.ComputeAllFlat();
+  ASSERT_TRUE(built_sweep.ok() && loaded_sweep.ok());
+  EXPECT_TRUE(built_sweep->cascades == loaded_sweep->cascades);
+  EXPECT_EQ(built_sweep->in_sample_cost, loaded_sweep->in_sample_cost);
+  // Re-serializing the packed-borrowed index reproduces the file.
+  auto again = SerializeSnapshot(graph, *loaded);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(*again, bytes);
 }
 
 TEST(SnapshotPackedTest, WriterReencodesTypicalAcrossEncodings) {

@@ -288,8 +288,8 @@ std::vector<CommandSpec> Commands() {
                     "seed_select pays the sweep on first query)"},
                    {"no-pack", FlagType::kBool, "",
                     "write raw u32 closure/typical sections instead of "
-                    "delta-varint packed ones (larger file, zero-copy "
-                    "closures at load)"}},
+                    "delta-varint packed ones (larger file; no run "
+                    "validation at open, no run decoding per query)"}},
                   /*graph=*/true, /*index=*/true)});
   commands.push_back(
       {"snapshot-info", "print a snapshot's header facts", "",
@@ -475,7 +475,12 @@ Result<CascadeIndex> LoadIndexSnapshot(const std::string& path,
                                        const ProbGraph& graph,
                                        std::shared_ptr<const Snapshot>* snap) {
   SOI_ASSIGN_OR_RETURN(*snap, Snapshot::Open(path));
-  SOI_RETURN_IF_ERROR(CheckSnapshotFreshness((*snap)->info(), graph));
+  const Status fresh = CheckSnapshotFreshness((*snap)->info(), graph);
+  if (!fresh.ok()) {
+    // --graph is required here: the only remedy is a new index file.
+    return Status::InvalidArgument(fresh.message() +
+                                   " with `soi_cli index`");
+  }
   return (*snap)->MakeIndex();
 }
 
@@ -1022,7 +1027,11 @@ int CmdServe(const FlagParser& flags) {
     if (!graph_path.empty()) {
       CLI_ASSIGN(current_graph, LoadGraph(flags));
       const Status fresh = CheckSnapshotFreshness(snap->info(), current_graph);
-      if (!fresh.ok()) return Fail(fresh);
+      if (!fresh.ok()) {
+        return Fail(Status::InvalidArgument(
+            fresh.message() +
+            ", or drop --graph to serve the snapshot's own state"));
+      }
       std::fprintf(stderr,
                    "serve: snapshot freshness verified against %s "
                    "(fingerprint %016llx)\n",
