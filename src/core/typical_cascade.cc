@@ -16,6 +16,12 @@ namespace {
 constexpr NodeId kSweepBatch = 32;
 }  // namespace
 
+NodeMedianSolver::NodeMedianSolver(NodeId num_nodes, uint32_t num_worlds,
+                                   const MedianOptions& options)
+    : options_(options), solver_(num_nodes), views_(num_worlds) {
+  options_.trusted_presorted = true;
+}
+
 TypicalCascadeComputer::TypicalCascadeComputer(const CascadeIndex* index)
     : index_(index), solver_(index->num_nodes()) {
   SOI_CHECK(index != nullptr);
@@ -66,8 +72,6 @@ Status TypicalCascadeComputer::SweepAllNodes(
   SOI_OBS_SPAN("typical/sweep_all_nodes");
   const NodeId n = index_->num_nodes();
   const uint32_t l = index_->num_worlds();
-  MedianOptions median_options = options.median;
-  median_options.trusted_presorted = true;  // index output is always sorted
 
   // For a materialized world, a node's cascades are zero-copy spans into
   // the memoized per-world runs — there is nothing to extract. For every
@@ -94,8 +98,7 @@ Status TypicalCascadeComputer::SweepAllNodes(
       [&](uint32_t chunk, uint64_t chunk_begin, uint64_t chunk_end) {
         CascadeIndex::Workspace ws;
         CascadeIndex::CascadeArena arena;
-        JaccardMedianSolver solver(n);
-        std::vector<std::span<const NodeId>> views(l);
+        NodeMedianSolver solver(n, l, options.median);
         for (uint64_t b = chunk_begin; b < chunk_end; ++b) {
           const NodeId first = static_cast<NodeId>(b * kSweepBatch);
           const NodeId last = std::min<NodeId>(first + kSweepBatch, n);
@@ -118,27 +121,22 @@ Status TypicalCascadeComputer::SweepAllNodes(
           SOI_OBS_COUNTER_ADD("typical/computations", batch);
           for (uint32_t j = 0; j < batch; ++j) {
             WallTimer median_timer;
-            double mean_size = 0.0;
-            for (uint32_t i = 0; i < l; ++i) {
-              views[i] =
-                  arena_slot[i] == UINT32_MAX
-                      ? index_->CachedCascade(first + j, i)
-                      : arena.View(
-                            static_cast<size_t>(arena_slot[i]) * batch + j);
-              mean_size += static_cast<double>(views[i].size());
-            }
-            mean_size /= static_cast<double>(l);
             auto median = [&]() -> Result<MedianResult> {
               SOI_OBS_SPAN("typical/jaccard_median");
-              return solver.Compute(
-                  std::span<const std::span<const NodeId>>(views),
-                  median_options);
+              return solver.Solve([&](uint32_t i) {
+                return arena_slot[i] == UINT32_MAX
+                           ? index_->CachedCascade(first + j, i)
+                           : arena.View(static_cast<size_t>(arena_slot[i]) *
+                                            batch +
+                                        j);
+              });
             }();
             if (!median.ok()) {
               chunk_status[chunk] = median.status();
               return;
             }
-            emit(chunk, first + j, std::move(median.value()), mean_size,
+            emit(chunk, first + j, std::move(median.value()),
+                 solver.mean_sample_size(),
                  extract_share + median_timer.ElapsedSeconds());
           }
         }

@@ -46,6 +46,40 @@ struct TypicalCascadeSweep {
   std::vector<MedianResult::Source> median_source;
 };
 
+/// The per-node step of Algorithm 2: the Jaccard median of one node's l
+/// sampled cascades, taken in world order. The whole-graph sweep and the
+/// dynamic index's typical-row patch (src/dynamic/) both run it, so a
+/// patched row is byte-identical to a re-swept one. Owns reusable scratch;
+/// not thread-safe, create one per thread.
+class NodeMedianSolver {
+ public:
+  NodeMedianSolver(NodeId num_nodes, uint32_t num_worlds,
+                   const MedianOptions& options);
+
+  /// `cascade_in(i)` yields the node's cascade in world i as a span sorted
+  /// ascending (index output always is, so the solver skips validation).
+  template <typename CascadeIn>
+  Result<MedianResult> Solve(CascadeIn&& cascade_in) {
+    mean_sample_size_ = 0.0;
+    for (uint32_t i = 0; i < views_.size(); ++i) {
+      views_[i] = cascade_in(i);
+      mean_sample_size_ += static_cast<double>(views_[i].size());
+    }
+    mean_sample_size_ /= static_cast<double>(views_.size());
+    return solver_.Compute(
+        std::span<const std::span<const NodeId>>(views_), options_);
+  }
+
+  /// Mean size of the cascades the last Solve() saw.
+  double mean_sample_size() const { return mean_sample_size_; }
+
+ private:
+  MedianOptions options_;
+  JaccardMedianSolver solver_;
+  std::vector<std::span<const NodeId>> views_;
+  double mean_sample_size_ = 0.0;
+};
+
 /// Computes typical cascades against a prebuilt CascadeIndex (Algorithm 2).
 /// Owns reusable scratch; not thread-safe, create one per thread.
 class TypicalCascadeComputer {

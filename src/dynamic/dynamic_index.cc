@@ -7,6 +7,7 @@
 
 #include "cascade/threshold.h"
 #include "core/typical_cascade.h"
+#include "jaccard/median.h"
 #include "obs/metrics.h"
 #include "runtime/parallel_for.h"
 #include "scc/transitive.h"
@@ -86,13 +87,22 @@ Status DynamicIndex::ValidateLtBudget(const GraphUpdate& update) const {
 
 Result<UpdateStats> DynamicIndex::ApplyUpdates(
     std::span<const GraphUpdate> updates) {
+  SOI_ASSIGN_OR_RETURN(PreparedUpdate prepared,
+                       PrepareUpdates(updates, typical_ready_));
+  return CommitUpdates(&prepared);
+}
+
+Result<PreparedUpdate> DynamicIndex::PrepareUpdates(
+    std::span<const GraphUpdate> updates, bool patch_typical) {
+  SOI_CHECK(!update_pending_);  // the previous prepare was never committed
   WallTimer timer;
-  UpdateStats stats;
+  PreparedUpdate out;
+  out.had_typical_ = patch_typical;
   if (updates.empty()) {
-    stats.drift = drift_;
-    return stats;
+    update_pending_ = true;
+    return out;
   }
-  SOI_OBS_SPAN("dynamic/apply_updates");
+  SOI_OBS_SPAN("dynamic/prepare_updates");
 
   const uint32_t num_worlds = index_.num_worlds();
   if (world_mark_.size() < num_worlds) world_mark_.assign(num_worlds, 0);
@@ -107,9 +117,15 @@ Result<UpdateStats> DynamicIndex::ApplyUpdates(
   // keyed coins never move, so per-op affected sets compose by union: a
   // world outside the union kept its live-edge selection at every step).
   const KeyedWorldSampler sampler = Sampler();
-  std::vector<uint32_t> affected;
+  std::vector<uint32_t>& affected = out.affected_;
   std::vector<GraphUpdate> undo;
   undo.reserve(updates.size());
+  const auto rollback = [&] {
+    for (auto it = undo.rbegin(); it != undo.rend(); ++it) {
+      const Status undone = graph_.Apply(*it);
+      SOI_CHECK(undone.ok());
+    }
+  };
   Status failure = Status::OK();
   for (const GraphUpdate& update : updates) {
     failure = graph_.Validate(update);
@@ -127,23 +143,18 @@ Result<UpdateStats> DynamicIndex::ApplyUpdates(
     SOI_CHECK(applied.ok());
   }
   if (!failure.ok()) {
-    for (auto it = undo.rbegin(); it != undo.rend(); ++it) {
-      const Status undone = graph_.Apply(*it);
-      SOI_CHECK(undone.ok());
-    }
+    rollback();
     return failure;
   }
-
-  stats.applied_ops = static_cast<uint32_t>(updates.size());
-  drift_ += updates.size();
-  stats.drift = drift_;
+  out.stats_.applied_ops = static_cast<uint32_t>(updates.size());
 
   if (affected.empty()) {
-    stats.seconds = timer.ElapsedSeconds();
-    return stats;
+    out.stats_.seconds = timer.ElapsedSeconds();
+    update_pending_ = true;
+    return out;
   }
   std::sort(affected.begin(), affected.end());
-  stats.affected_worlds = static_cast<uint32_t>(affected.size());
+  out.stats_.affected_worlds = static_cast<uint32_t>(affected.size());
   SOI_OBS_COUNTER_ADD("dynamic/worlds_recomputed", affected.size());
 
   // Phase 2 — re-derive exactly the affected worlds (and, when the cache
@@ -161,9 +172,10 @@ Result<UpdateStats> DynamicIndex::ApplyUpdates(
   const bool tiered_cache =
       !had_cache && index_.stats().worlds_traversal != index_.num_worlds();
   const uint64_t budget_bytes = options_.closure_budget_mb << 20;
-  std::vector<Condensation> new_worlds(affected.size());
-  std::vector<ReachabilityClosure> new_closures(had_cache ? affected.size()
-                                                          : 0);
+  std::vector<Condensation>& new_worlds = out.worlds_;
+  std::vector<ReachabilityClosure>& new_closures = out.closures_;
+  new_worlds.resize(affected.size());
+  new_closures.resize(had_cache ? affected.size() : 0);
   std::atomic<bool> closure_over{false};
   ParallelFor(0, affected.size(), /*grain=*/1, [&](uint64_t k) {
     new_worlds[k] = DeriveWorld(sampler, affected[k]);
@@ -181,7 +193,8 @@ Result<UpdateStats> DynamicIndex::ApplyUpdates(
   // Closure-cache fate, mirroring the all-or-nothing build policy: patch
   // when every affected world rebuilt under the per-world cap AND the
   // patched total stays within budget; otherwise drop the whole cache
-  // (queries fall back to traversal, byte-identical answers).
+  // (queries fall back to traversal, byte-identical answers) or, under a
+  // tier-capable policy, reassign tiers — labels usually still fit.
   bool keep_cache = had_cache && !closure_over.load();
   if (keep_cache) {
     uint64_t total = index_.stats().closure_bytes;
@@ -191,109 +204,158 @@ Result<UpdateStats> DynamicIndex::ApplyUpdates(
     }
     keep_cache = total <= budget_bytes;
   }
+  using CacheFate = PreparedUpdate::CacheFate;
+  if (keep_cache) {
+    out.cache_ = CacheFate::kPatch;
+  } else {
+    new_closures.clear();
+    if (tiered_cache ||
+        (had_cache &&
+         options_.tier_policy != ClosureTierPolicy::kMaterialized)) {
+      out.cache_ = CacheFate::kRebuildTiers;
+    } else if (had_cache) {
+      out.cache_ = CacheFate::kDrop;
+    }
+  }
 
-  // Phase 3 — with old and new state both in hand, find the nodes whose
-  // typical cascade may change: exactly those whose cascade differs in
-  // some affected world. Needs the closure cache on both sides for cheap
-  // span compares; without it, fall back to re-sweeping every node.
-  const NodeId num_nodes = index_.num_nodes();
-  std::vector<uint8_t> node_changed;
-  bool mark_all = false;
-  if (typical_ready_) {
-    if (!had_cache || !keep_cache) {
-      mark_all = true;
+  // Phase 3 — the typical table. With the closure cache on both sides,
+  // exactly the nodes whose cascade differs in some affected world can
+  // change; their rows are recomputed here, from the old index's runs for
+  // unaffected worlds and the new runs for affected ones. Without the
+  // cache on both sides the table is dropped at commit instead.
+  if (patch_typical) {
+    if (!keep_cache) {
+      out.stats_.affected_nodes = index_.num_nodes();
     } else {
-      node_changed.assign(num_nodes, 0);
-      ParallelFor(0, num_nodes, /*grain=*/512, [&](uint64_t v) {
-        for (size_t k = 0; k < affected.size(); ++k) {
-          const uint32_t i = affected[k];
-          const auto old_run = index_.closure(i).Cascade(
-              index_.world(i).ComponentOf(static_cast<NodeId>(v)));
-          const auto new_run = new_closures[k].Cascade(
-              new_worlds[k].ComponentOf(static_cast<NodeId>(v)));
-          if (!SameCascade(old_run, new_run)) {
-            node_changed[v] = 1;
+      Result<std::optional<FlatSets>> patched =
+          PatchTypical(affected, new_worlds, new_closures,
+                       &out.stats_.affected_nodes);
+      if (!patched.ok()) {
+        rollback();
+        return patched.status();
+      }
+      out.typical_ = std::move(*patched);
+    }
+  }
+
+  out.stats_.seconds = timer.ElapsedSeconds();
+  update_pending_ = true;
+  return out;
+}
+
+Result<std::optional<FlatSets>> DynamicIndex::PatchTypical(
+    std::span<const uint32_t> affected,
+    std::span<const Condensation> new_worlds,
+    std::span<const ReachabilityClosure> new_closures,
+    uint32_t* changed_count) const {
+  const NodeId num_nodes = index_.num_nodes();
+  const uint32_t num_worlds = index_.num_worlds();
+  std::vector<uint8_t> node_changed(num_nodes, 0);
+  ParallelFor(0, num_nodes, /*grain=*/512, [&](uint64_t v) {
+    const NodeId node = static_cast<NodeId>(v);
+    for (size_t k = 0; k < affected.size(); ++k) {
+      const auto old_run = index_.CachedCascade(node, affected[k]);
+      const auto new_run =
+          new_closures[k].Cascade(new_worlds[k].ComponentOf(node));
+      if (!SameCascade(old_run, new_run)) {
+        node_changed[v] = 1;
+        return;
+      }
+    }
+  });
+  std::vector<NodeId> changed;
+  for (NodeId v = 0; v < num_nodes; ++v) {
+    if (node_changed[v]) changed.push_back(v);
+  }
+  *changed_count = static_cast<uint32_t>(changed.size());
+  if (changed.empty()) return std::optional<FlatSets>();
+
+  // Per-node recompute matches the full sweep byte-for-byte: both run
+  // NodeMedianSolver over the node's l cascade runs in world order, with
+  // the options EnsureTypical sweeps with.
+  std::vector<uint32_t> new_slot(num_worlds, UINT32_MAX);
+  for (size_t k = 0; k < affected.size(); ++k) {
+    new_slot[affected[k]] = static_cast<uint32_t>(k);
+  }
+  const TypicalCascadeOptions sweep_options;
+  std::vector<std::vector<NodeId>> recomputed(changed.size());
+  std::vector<Status> chunk_status(PlannedChunks(changed.size(), 1),
+                                   Status::OK());
+  ParallelForChunks(
+      0, changed.size(), /*grain=*/1,
+      [&](uint32_t chunk, uint64_t b, uint64_t e) {
+        NodeMedianSolver solver(num_nodes, num_worlds, sweep_options.median);
+        for (uint64_t j = b; j < e; ++j) {
+          const NodeId v = changed[j];
+          Result<MedianResult> median = solver.Solve([&](uint32_t i) {
+            const uint32_t k = new_slot[i];
+            return k == UINT32_MAX
+                       ? index_.CachedCascade(v, i)
+                       : new_closures[k].Cascade(new_worlds[k].ComponentOf(v));
+          });
+          if (!median.ok()) {
+            chunk_status[chunk] = median.status();
             return;
           }
+          recomputed[j] = std::move(median->median);
         }
       });
-    }
+  for (const Status& status : chunk_status) {
+    if (!status.ok()) return status;
   }
-
-  // Phase 4 — patch the index in place. When the all-materialized patch
-  // went over budget under a tier-capable policy, reassign tiers instead of
-  // dropping to traversal — labels usually still fit.
-  const bool rebuild_tiers =
-      tiered_cache ||
-      (had_cache && !keep_cache &&
-       options_.tier_policy != ClosureTierPolicy::kMaterialized);
-  if (had_cache && !keep_cache && !rebuild_tiers) {
-    index_.DropClosureCache();
-  }
-  for (size_t k = 0; k < affected.size(); ++k) {
-    index_.ReplaceWorld(affected[k], std::move(new_worlds[k]));
-    if (keep_cache) {
-      index_.SetClosure(affected[k], std::move(new_closures[k]));
-    }
-  }
-  if (rebuild_tiers) {
-    index_.RebuildClosureTiers(options_.closure_budget_mb,
-                               options_.tier_policy);
-  }
-  index_.RecomputeStats();
-
-  // Phase 5 — patch the typical-cascade table for the changed nodes.
-  if (typical_ready_) {
-    if (mark_all) {
-      typical_ready_ = false;
-      typical_ = FlatSets();
-      SOI_RETURN_IF_ERROR(EnsureTypical());
-      stats.affected_nodes = num_nodes;
+  FlatSets patched;
+  size_t next = 0;
+  for (NodeId v = 0; v < num_nodes; ++v) {
+    if (node_changed[v]) {
+      patched.AddSet(recomputed[next++]);
     } else {
-      std::vector<NodeId> changed;
-      for (NodeId v = 0; v < num_nodes; ++v) {
-        if (node_changed[v]) changed.push_back(v);
+      patched.AddSet(typical_.Set(v));
+    }
+  }
+  return std::optional<FlatSets>(std::move(patched));
+}
+
+UpdateStats DynamicIndex::CommitUpdates(PreparedUpdate* prepared) {
+  SOI_CHECK(update_pending_);
+  update_pending_ = false;
+  WallTimer timer;
+  UpdateStats stats = prepared->stats_;
+  drift_ += stats.applied_ops;
+  stats.drift = drift_;
+  if (!prepared->affected_.empty()) {
+    SOI_OBS_SPAN("dynamic/commit_updates");
+    using CacheFate = PreparedUpdate::CacheFate;
+    if (prepared->cache_ == CacheFate::kDrop) index_.DropClosureCache();
+    for (size_t k = 0; k < prepared->affected_.size(); ++k) {
+      const uint32_t i = prepared->affected_[k];
+      prepared->worlds_[k] =
+          index_.ReplaceWorld(i, std::move(prepared->worlds_[k]));
+      if (prepared->cache_ == CacheFate::kPatch) {
+        prepared->closures_[k] =
+            index_.SetClosure(i, std::move(prepared->closures_[k]));
       }
-      stats.affected_nodes = static_cast<uint32_t>(changed.size());
-      if (!changed.empty()) {
-        // Per-node recompute matches the full sweep byte-for-byte: both
-        // run the same median solver over the node's l cascade views.
-        std::vector<std::vector<NodeId>> recomputed(changed.size());
-        std::atomic<bool> failed{false};
-        ParallelForChunks(
-            0, changed.size(), /*grain=*/1,
-            [&](uint32_t /*chunk*/, uint64_t b, uint64_t e) {
-              TypicalCascadeComputer computer(&index_);
-              for (uint64_t k = b; k < e; ++k) {
-                Result<TypicalCascadeResult> r = computer.Compute(changed[k]);
-                if (!r.ok()) {
-                  failed.store(true, std::memory_order_relaxed);
-                  return;
-                }
-                recomputed[k] = std::move(r->cascade);
-              }
-            });
-        if (failed.load()) {
-          return Status::Internal(
-              "typical-cascade patch failed mid-batch; index is consistent "
-              "but the typical table was left stale — rebuild via "
-              "EnsureTypical()");
-        }
-        FlatSets patched;
-        size_t next = 0;
-        for (NodeId v = 0; v < num_nodes; ++v) {
-          if (node_changed[v]) {
-            patched.AddSet(recomputed[next++]);
-          } else {
-            patched.AddSet(typical_.Set(v));
-          }
-        }
-        typical_ = std::move(patched);
+    }
+    if (prepared->cache_ == CacheFate::kRebuildTiers) {
+      index_.RebuildClosureTiers(options_.closure_budget_mb,
+                                 options_.tier_policy);
+    }
+    index_.RecomputeStats();
+
+    if (typical_ready_) {
+      if (!prepared->had_typical_ ||
+          prepared->cache_ != CacheFate::kPatch) {
+        // Materialized after the prepare looked, or unpatchable: drop it
+        // for the next EnsureTypical to re-sweep on the new index.
+        typical_ready_ = false;
+        prepared->typical_ = std::move(typical_);
+        typical_ = FlatSets();
+        stats.affected_nodes = index_.num_nodes();
+      } else if (prepared->typical_.has_value()) {
+        std::swap(typical_, *prepared->typical_);
       }
     }
   }
-
-  stats.seconds = timer.ElapsedSeconds();
+  stats.seconds += timer.ElapsedSeconds();
   return stats;
 }
 

@@ -7,7 +7,9 @@
 #include <cctype>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 namespace soi {
@@ -56,17 +58,43 @@ Result<bool> ParseRow(const std::string& line, size_t line_no, RawEdge* out) {
   return true;
 }
 
+// The header ToEdgeListString writes; its n keeps trailing isolated nodes.
+constexpr std::string_view kHeaderPrefix = "# soi edge list: n=";
+
+// Node count of a `# soi edge list: n=N ...` header line, or nullopt when
+// `line` is not one.
+Result<std::optional<uint64_t>> ParseHeaderNodes(const std::string& line,
+                                                 size_t line_no) {
+  if (line.rfind(kHeaderPrefix, 0) != 0) return std::optional<uint64_t>();
+  const char* begin = line.c_str() + kHeaderPrefix.size();
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long n = std::strtoull(begin, &end, 10);
+  if (errno != 0 || end == begin || !std::isdigit(static_cast<unsigned char>(
+                                        *begin)) ||
+      (*end != '\0' && !std::isspace(static_cast<unsigned char>(*end))) ||
+      n >= kInvalidNode) {
+    return Status::IOError("line " + std::to_string(line_no) +
+                           ": bad node count in '" + line + "'");
+  }
+  return std::optional<uint64_t>(n);
+}
+
 }  // namespace
 
 Result<ProbGraph> ParseEdgeList(const std::string& text,
                                 const EdgeListOptions& options) {
   std::vector<RawEdge> rows;
   uint64_t max_id = 0;
+  std::optional<uint64_t> header_nodes;
   std::istringstream stream(text);
   std::string line;
   size_t line_no = 0;
   while (std::getline(stream, line)) {
     ++line_no;
+    if (!header_nodes.has_value()) {
+      SOI_ASSIGN_OR_RETURN(header_nodes, ParseHeaderNodes(line, line_no));
+    }
     RawEdge e{};
     SOI_ASSIGN_OR_RETURN(const bool is_edge, ParseRow(line, line_no, &e));
     if (!is_edge) continue;
@@ -74,12 +102,19 @@ Result<ProbGraph> ParseEdgeList(const std::string& text,
     rows.push_back(e);
   }
 
+  // An explicit num_nodes wins over the header; the header wins over the
+  // largest id, so a saved graph's trailing isolated nodes survive a load.
   NodeId n = options.num_nodes;
+  std::string n_source = "num_nodes";
+  if (n == 0 && header_nodes.has_value()) {
+    n = static_cast<NodeId>(*header_nodes);
+    n_source = "the header's n";
+  }
   if (n == 0) {
     n = rows.empty() ? 0 : static_cast<NodeId>(max_id + 1);
-  } else if (max_id >= n) {
+  } else if (!rows.empty() && max_id >= n) {
     return Status::OutOfRange("edge references node " + std::to_string(max_id) +
-                              " but num_nodes=" + std::to_string(n));
+                              " but " + n_source + "=" + std::to_string(n));
   }
   if (max_id >= kInvalidNode) {
     return Status::OutOfRange("node ids must fit in 32 bits");

@@ -22,7 +22,9 @@ struct EdgeListOptions {
   double default_prob = 0.1;
   /// Treat every row as an undirected edge (adds both arcs).
   bool undirected = false;
-  /// Number of nodes; if 0, inferred as max id + 1.
+  /// Number of nodes; if 0, taken from a `# soi edge list: n=N` header
+  /// (what SaveEdgeList writes) when the text has one, else inferred as
+  /// max id + 1. Either way, an id >= n is an error.
   NodeId num_nodes = 0;
   /// Keep the max-probability copy of duplicate arcs instead of failing.
   bool keep_max_duplicate = false;

@@ -440,18 +440,21 @@ Result<CascadeIndex> CascadeIndex::FromParts(
   return index;
 }
 
-void CascadeIndex::ReplaceWorld(uint32_t i, Condensation cond) {
+Condensation CascadeIndex::ReplaceWorld(uint32_t i, Condensation cond) {
   SOI_CHECK(i < worlds_.size());
   SOI_CHECK(!cond.borrowed());
   SOI_CHECK(cond.num_nodes() == num_nodes_);
-  worlds_[i] = std::move(cond);
+  std::swap(worlds_[i], cond);
+  return cond;
 }
 
-void CascadeIndex::SetClosure(uint32_t i, ReachabilityClosure closure) {
+ReachabilityClosure CascadeIndex::SetClosure(uint32_t i,
+                                             ReachabilityClosure closure) {
   SOI_CHECK(has_closure_cache());
   SOI_CHECK(i < closures_.size());
   SOI_CHECK(closure.num_components() == worlds_[i].num_components());
-  closures_[i] = std::move(closure);
+  std::swap(closures_[i], closure);
+  return closure;
 }
 
 void CascadeIndex::DropClosureCache() {

@@ -281,13 +281,15 @@ class CascadeIndex {
   /// from the world's current live-edge set. Does NOT touch the
   /// reachability cache or stats — the caller must restore cache
   /// consistency (SetClosure / DropClosureCache / RebuildClosureTiers) and
-  /// finish the batch with RecomputeStats().
-  void ReplaceWorld(uint32_t i, Condensation cond);
+  /// finish the batch with RecomputeStats(). Returns the replaced
+  /// condensation, so a caller patching under a lock can free it after
+  /// unlocking.
+  Condensation ReplaceWorld(uint32_t i, Condensation cond);
 
-  /// Replaces the cached closure of world i; only valid while
-  /// has_closure_cache() (component count must match the world's current
-  /// condensation).
-  void SetClosure(uint32_t i, ReachabilityClosure closure);
+  /// Replaces the cached closure of world i and returns the old one; only
+  /// valid while has_closure_cache() (component count must match the
+  /// world's current condensation).
+  ReachabilityClosure SetClosure(uint32_t i, ReachabilityClosure closure);
 
   /// Drops the whole reachability cache — every world falls back to DAG
   /// traversal with byte-identical answers. The dynamic layer calls this

@@ -144,14 +144,20 @@ class Engine::Impl {
       }
     }
     if (update_batch) {
-      // Updates mutate the index: the whole batch runs sequentially under
-      // the exclusive state lock, in request order. Sequential execution
-      // also makes mixed update+query batches deterministic at every
-      // thread count (a query after an update sees it; before, doesn't).
-      std::unique_lock<std::shared_mutex> lock(state_mutex_);
+      // A batch with an update runs sequentially in request order, so a
+      // query after an update sees it and one before does not, at every
+      // thread count. Queries share the state lock one at a time; an
+      // update takes its own locks (Handle(UpdateRequest)) and holds the
+      // exclusive one only to commit.
       Scratch scratch;
       for (size_t i = 0; i < n; ++i) {
-        (*results)[i] = RunOne(get(i), admit_ns, &scratch);
+        const Request& request = get(i);
+        if (std::holds_alternative<UpdateRequest>(request.payload)) {
+          (*results)[i] = RunOne(request, admit_ns, &scratch);
+        } else {
+          std::shared_lock<std::shared_mutex> lock(state_mutex_);
+          (*results)[i] = RunOne(request, admit_ns, &scratch);
+        }
       }
     } else if (PlannedChunks(n, /*grain=*/1) <= 1) {
       // Single-chunk batch (one thread, or one request): run inline. This
@@ -182,6 +188,13 @@ class Engine::Impl {
     return Status::OK();
   }
 
+  // No admission slot: see Engine::RunUpdate.
+  Result<Response> RunUpdate(const Request& request) {
+    SOI_CHECK(std::holds_alternative<UpdateRequest>(request.payload));
+    Scratch scratch;
+    return RunOne(request, NowNs(), &scratch);
+  }
+
   uint32_t in_flight() const {
     return in_flight_.load(std::memory_order_acquire);
   }
@@ -192,15 +205,19 @@ class Engine::Impl {
 
   bool dynamic() const { return dynamic_.has_value(); }
 
+  // drift(), fingerprint(), CaptureDynamicState() and JournalSince() take
+  // the writer mutex first: an update in its prepare step has already
+  // applied its ops to the graph but not yet committed or journaled them,
+  // and none of these may observe that state.
   uint64_t drift() const {
     if (!dynamic_.has_value()) return 0;
-    std::shared_lock<std::shared_mutex> lock(state_mutex_);
+    std::lock_guard<std::mutex> writer(update_mutex_);
     return dynamic_->drift();
   }
 
   uint64_t fingerprint() const {
     if (!dynamic_.has_value()) return GraphFingerprint(graph_);
-    std::shared_lock<std::shared_mutex> lock(state_mutex_);
+    std::lock_guard<std::mutex> writer(update_mutex_);
     return dynamic_->fingerprint();
   }
 
@@ -210,7 +227,7 @@ class Engine::Impl {
           "CaptureDynamicState: engine is static (built with Create/"
           "FromParts); only CreateDynamic engines track update state");
     }
-    std::shared_lock<std::shared_mutex> lock(state_mutex_);
+    std::lock_guard<std::mutex> writer(update_mutex_);
     DynamicState state;
     SOI_ASSIGN_OR_RETURN(state.graph, dynamic_->MaterializeGraph());
     state.journal_seq = journal_.size();
@@ -219,7 +236,7 @@ class Engine::Impl {
 
   std::vector<GraphUpdate> JournalSince(uint64_t seq) const {
     if (!dynamic_.has_value()) return {};
-    std::shared_lock<std::shared_mutex> lock(state_mutex_);
+    std::lock_guard<std::mutex> writer(update_mutex_);
     if (seq >= journal_.size()) return {};
     return std::vector<GraphUpdate>(journal_.begin() + seq, journal_.end());
   }
@@ -456,37 +473,54 @@ class Engine::Impl {
                                    req.method + "' (expected tc or std)");
   }
 
-  // Runs only on the sequential exclusive-lock path (see RunBatch): the
-  // batch already holds the state lock, so the index, journal, and derived
-  // caches can be mutated without further synchronization against queries.
+  // The one update path. The writer mutex serializes updates, which keeps
+  // them deterministic; the expensive prepare (validation, world
+  // re-derivation, typical-row patch) runs under the shared state lock
+  // alongside queries, and the exclusive lock is held only to commit,
+  // journal and reset the caches derived from the index.
   Result<Response> Handle(const UpdateRequest& req, Scratch* /*scratch*/) {
     if (!dynamic_.has_value()) {
       return Status::FailedPrecondition(
           "update requires a dynamic engine (soi_cli serve --dynamic / "
           "Engine::CreateDynamic); this engine serves a static index");
     }
-    SOI_ASSIGN_OR_RETURN(const UpdateStats stats,
-                         dynamic_->ApplyUpdates(req.ops));
+    std::lock_guard<std::mutex> writer(update_mutex_);
+    Result<PreparedUpdate> prepared = [&] {
+      std::shared_lock<std::shared_mutex> lock(state_mutex_);
+      // EnsureTypical runs under tc_mutex_; reading has_typical() under it
+      // fixes whether this prepare patches the table. A table built after
+      // this point is dropped by the commit instead.
+      bool patch_typical = false;
+      {
+        std::lock_guard<std::mutex> tc_lock(tc_mutex_);
+        patch_typical = dynamic_->has_typical();
+      }
+      return dynamic_->PrepareUpdates(req.ops, patch_typical);
+    }();
+    if (!prepared.ok()) return prepared.status();
+    std::unique_lock<std::shared_mutex> lock(state_mutex_);
+    const UpdateStats stats = dynamic_->CommitUpdates(&*prepared);
     journal_.insert(journal_.end(), req.ops.begin(), req.ops.end());
     // Worlds changed => every derived cache (typical cover, spread oracle)
     // is stale. The DynamicIndex patched its own typical table; only the
     // engine-side structures over it need rebuilding, lazily.
     if (stats.affected_worlds > 0) {
       {
-        std::lock_guard<std::mutex> lock(tc_mutex_);
+        std::lock_guard<std::mutex> tc_lock(tc_mutex_);
         tc_ready_ = false;
         tc_status_ = Status::OK();
         tc_cover_.reset();
       }
       {
-        std::lock_guard<std::mutex> lock(oracle_mutex_);
+        std::lock_guard<std::mutex> oracle_lock(oracle_mutex_);
         oracle_.reset();
       }
       {
-        std::lock_guard<std::mutex> lock(sketch_mutex_);
+        std::lock_guard<std::mutex> sketch_lock(sketch_mutex_);
         sketch_.reset();
       }
     }
+    lock.unlock();  // the replaced worlds in *prepared are freed unlocked
     UpdateResponse response;
     response.applied = stats.applied_ops;
     response.affected_worlds = stats.affected_worlds;
@@ -547,11 +581,14 @@ class Engine::Impl {
   CascadeIndex index_;  // empty in dynamic mode (idx() dispatches)
   EngineOptions options_;
   // Dynamic mode: the updatable index plus the update journal (everything
-  // applied since construction, for drift-rebuild catch-up replay). Both
-  // are guarded by state_mutex_: update batches hold it exclusively,
-  // query batches and state captures share it.
+  // applied since construction, for drift-rebuild catch-up replay). An
+  // update holds update_mutex_ throughout, shares state_mutex_ with
+  // queries while it prepares, and holds state_mutex_ exclusively only to
+  // commit and journal. Lock order: update_mutex_, then state_mutex_, then
+  // the cache mutexes below.
   std::optional<DynamicIndex> dynamic_;
   std::vector<GraphUpdate> journal_;
+  mutable std::mutex update_mutex_;
   mutable std::shared_mutex state_mutex_;
   // Keeps external backing storage (a snapshot mapping) alive while any
   // borrowed view in this Impl might read it. Declaration order vs the
@@ -666,6 +703,10 @@ Result<Response> Engine::Run(const Request& request) {
   SOI_ASSIGN_OR_RETURN(std::vector<Result<Response>> results,
                        RunBatch(std::span<const Request>(&request, 1)));
   return std::move(results[0]);
+}
+
+Result<Response> Engine::RunUpdate(const Request& request) {
+  return impl_->RunUpdate(request);
 }
 
 Result<std::vector<Result<Response>>> Engine::RunBatch(

@@ -252,12 +252,13 @@ struct EngineParts {
   std::shared_ptr<const void> storage;
 };
 
-/// A consistent capture of a dynamic engine's state, taken under the update
-/// lock: the materialized graph plus the journal position it corresponds
-/// to. The drift-rebuild flow builds a fresh engine from `graph` (same
-/// options + seed => byte-identical index, see src/dynamic/), replays
-/// JournalSince(journal_seq) onto it, and swaps it in via EngineHandle —
-/// a semantic no-op that compacts arenas and revives dropped caches.
+/// A consistent capture of a dynamic engine's state, taken under the
+/// writer mutex: the materialized graph plus the journal position it
+/// corresponds to. The drift-rebuild flow (service::DriftRebuilder) builds
+/// a fresh engine from `graph` (same options + seed => byte-identical
+/// index, see src/dynamic/), replays JournalSince(journal_seq) onto it, and
+/// swaps it in via EngineHandle — a semantic no-op that compacts arenas
+/// and revives dropped caches.
 struct DynamicState {
   ProbGraph graph;
   uint64_t journal_seq = 0;
@@ -267,11 +268,13 @@ struct DynamicState {
 /// built seed-selection caches. Create once, answer many.
 ///
 /// Dynamic mode (CreateDynamic): the engine additionally owns a
-/// DynamicIndex and accepts UpdateRequest batches. A batch containing any
-/// update runs sequentially under an exclusive state lock (updates mutate
-/// the index; sequential execution also keeps update batches deterministic
-/// at every thread count); pure-query batches share the state lock and run
-/// on the parallel path as usual.
+/// DynamicIndex and accepts UpdateRequest batches. Updates are serialized
+/// by a writer mutex, which keeps them deterministic at every thread count.
+/// Each one prepares its new worlds under the shared state lock, alongside
+/// queries, and holds the state lock exclusively only for the short commit
+/// (DESIGN §13.3). A batch containing an update runs sequentially in
+/// request order; pure-query batches share the state lock and run on the
+/// parallel path as usual.
 class Engine {
  public:
   /// Builds the index from `graph` (which the engine takes ownership of)
@@ -305,6 +308,14 @@ class Engine {
   /// Executes one request (a batch of one: same admission control, same
   /// error model).
   Result<Response> Run(const Request& request);
+
+  /// Executes one update request outside admission control: it takes no
+  /// max_in_flight slot and in_flight() does not count it. For a caller
+  /// that runs a dynamic engine's updates on a thread of its own beside
+  /// admitted read batches (the event loop's writer thread), so reads are
+  /// admitted as if no update were running. `request` must carry an
+  /// UpdateRequest. Updates stay serialized by the engine's writer mutex.
+  Result<Response> RunUpdate(const Request& request);
 
   /// Executes a batch. The outer Status rejects the whole batch (too big,
   /// too many batches in flight); the inner results are per-request and

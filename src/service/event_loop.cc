@@ -3,15 +3,22 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <climits>
+#include <condition_variable>
 #include <cstring>
+#include <deque>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -51,6 +58,8 @@ class EventLoop::Impl {
         batch_max_(options.batch_max < 1 ? 1 : options.batch_max) {}
 
   ~Impl() {
+    // The writer may still be running an update of a connection below.
+    StopWriter();
     // Normal exits drain conns_ first; this only fires on fatal error paths.
     for (auto& up : conns_) ReleaseFds(up.get());
     conns_.clear();
@@ -93,7 +102,23 @@ class EventLoop::Impl {
     std::string out_buf;
     size_t out_head = 0;  // write cursor into out_buf
     std::vector<Slot> slots;
-    size_t slots_used = 0;  // live prefix of slots == pending requests
+    // Pending requests are slots[slots_head, slots_used). slots_head is
+    // nonzero only while requests behind an update are held back.
+    size_t slots_head = 0;
+    size_t slots_used = 0;
+
+    // Parked: the update in slots[slots_head] is with the writer thread.
+    // The connection reads nothing and the slots behind it are held (not
+    // counted as pending) until its response is appended. While parked,
+    // `slots` must not grow (the writer reads the update in place) and the
+    // connection must not be reaped.
+    bool parked = false;
+    const Request* update_request = nullptr;
+    // Set when the update is handed to the writer.
+    Engine* update_engine = nullptr;
+    std::shared_ptr<Engine> update_pin;  // keeps a swapped engine alive
+    // Written by the writer thread, read by the loop after completion.
+    std::optional<Result<Response>> update_result;
 
     size_t pending_out() const { return out_buf.size() - out_head; }
   };
@@ -111,8 +136,19 @@ class EventLoop::Impl {
     }
   }
 
+  // The poll hook runs only while the writer is idle: a drift-rebuild
+  // swap between JournalSince and Swap would otherwise lose an update the
+  // writer applied in between. A poll skipped for that reason is owed, and
+  // new updates are held back until the writer drains and the hook has run
+  // (SubmitParked), so it gets its turn even while clients stream updates.
   void Poll() {
-    if (options_.poll != nullptr && *options_.poll) (*options_.poll)();
+    if (options_.poll == nullptr || !*options_.poll) return;
+    if (updates_in_flight_ != 0) {
+      poll_owed_ = true;
+      return;
+    }
+    poll_owed_ = false;
+    (*options_.poll)();
   }
 
   Conn* AddConn(int in_fd, int out_fd, bool owns) {
@@ -199,7 +235,7 @@ class EventLoop::Impl {
     const bool over_backpressure =
         options_.max_output_bytes != 0 &&
         c->pending_out() > options_.max_output_bytes;
-    const bool want_in = !c->read_closed && !over_backpressure;
+    const bool want_in = !c->read_closed && !over_backpressure && !c->parked;
     const bool want_out = c->pending_out() > 0;
     if (c->in_fd == c->out_fd) {
       const uint32_t mask =
@@ -217,9 +253,11 @@ class EventLoop::Impl {
     if (c->dead) return;
     c->dead = true;
     c->status = std::move(status);
-    // Drop undelivered work so the global pending count stays consistent.
-    total_pending_ -= c->slots_used;
+    // Drop undelivered work so the global pending count stays consistent
+    // (a parked connection's held slots are not counted).
+    if (!c->parked) total_pending_ -= c->slots_used - c->slots_head;
     c->slots_used = 0;
+    c->slots_head = 0;
   }
 
   void MaybeFinish(Conn* c) {
@@ -232,7 +270,7 @@ class EventLoop::Impl {
   void ReapConns() {
     for (size_t i = 0; i < conns_.size();) {
       Conn* c = conns_[i].get();
-      if (!c->dead && !c->done) {
+      if ((!c->dead && !c->done) || c->parked) {
         ++i;
         continue;
       }
@@ -295,6 +333,9 @@ class EventLoop::Impl {
   // Consumes complete lines from the connection buffer; flushes whenever the
   // cross-connection pending count reaches batch_max.
   void ParseBuffered(Conn* c) {
+    // A parked connection's slots must not grow while the writer reads its
+    // update in place; what it has buffered is parsed when it resumes.
+    if (c->parked) return;
     while (true) {
       const size_t nl = c->in_buf.find('\n', c->in_head);
       if (c->discarding) {
@@ -334,7 +375,8 @@ class EventLoop::Impl {
       }
       if (total_pending_ >= batch_max_) {
         FlushAndWrite();
-        if (c->dead) return;
+        // Parked: the rest of the buffer is parsed on resume.
+        if (c->dead || c->parked) return;
       }
     }
     // Compact consumed bytes; clear() keeps capacity, so a warm connection
@@ -381,13 +423,17 @@ class EventLoop::Impl {
       acquired = handle_->Acquire();
       engine = acquired.get();
     }
+    // Only a dynamic engine's updates leave the loop thread; a static
+    // engine answers them inline like any other request.
+    const bool dynamic = engine->dynamic();
     batch_reqs_.clear();
     batch_slots_.clear();
     batch_conns_.clear();
     for (auto& up : conns_) {
       Conn* c = up.get();
-      if (c->dead) continue;
-      for (size_t i = 0; i < c->slots_used; ++i) {
+      if (c->dead || c->parked) continue;
+      size_t i = c->slots_head;
+      for (; i < c->slots_used; ++i) {
         Slot* s = &c->slots[i];
         if (s->is_error) {
           RunChunk(engine);
@@ -398,15 +444,185 @@ class EventLoop::Impl {
           }
           continue;
         }
+        if (dynamic &&
+            std::holds_alternative<UpdateRequest>(s->req.request.payload)) {
+          // Park the connection on its update; the slots behind it wait.
+          c->parked = true;
+          c->update_request = &s->req.request;
+          to_submit_.push_back(c);
+          break;
+        }
         batch_reqs_.push_back(&s->req.request);
         batch_slots_.push_back(s);
         batch_conns_.push_back(c);
         if (batch_reqs_.size() >= batch_max_) RunChunk(engine);
       }
-      c->slots_used = 0;  // slot storage stays pooled for reuse
+      if (c->parked) {
+        c->slots_head = i;
+      } else {
+        c->slots_used = 0;  // slot storage stays pooled for reuse
+        c->slots_head = 0;
+      }
     }
     RunChunk(engine);
     total_pending_ = 0;
+    // Hand updates over only now: the requests gathered before them,
+    // including their own connection's earlier reads, have run.
+    if (!to_submit_.empty()) SubmitParked();
+  }
+
+  // -- Writer thread -------------------------------------------------------
+  // A dynamic engine's updates run on one writer thread, in submission
+  // order, so a 40 ms re-derivation never stalls other connections' reads
+  // (DESIGN §16.6). Completion comes back through an eventfd that the
+  // epoll loop watches (the blocking driver polls it instead).
+
+  // Hands the connections parked on updates to the writer, in parking
+  // order. While a poll is owed they stay parked until the writer drains;
+  // then the hook runs first, and the updates go to the engine it leaves
+  // in place. A held connection that died meanwhile is dropped.
+  void SubmitParked() {
+    if (to_submit_.empty()) return;
+    if (poll_owed_) {
+      if (updates_in_flight_ != 0) return;
+      Poll();
+    }
+    if (!writer_.joinable()) StartWriter();
+    std::shared_ptr<Engine> acquired;
+    Engine* engine = engine_;
+    if (handle_ != nullptr) {
+      acquired = handle_->Acquire();
+      engine = acquired.get();
+    }
+    size_t submitted = 0;
+    {
+      std::lock_guard<std::mutex> lock(writer_mu_);
+      for (Conn* c : to_submit_) {
+        if (c->dead) {
+          c->parked = false;  // reaped next
+          continue;
+        }
+        c->update_engine = engine;
+        c->update_pin = acquired;
+        writer_queue_.push_back(c);
+        ++submitted;
+      }
+    }
+    updates_in_flight_ += submitted;
+    to_submit_.clear();
+    if (submitted != 0) writer_cv_.notify_one();
+  }
+
+  void StartWriter() {
+    writer_efd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+    SOI_CHECK(writer_efd_ >= 0);
+    if (epfd_ >= 0) {
+      struct epoll_event ev {};
+      ev.events = EPOLLIN;
+      ev.data.ptr = &writer_efd_;
+      SOI_CHECK(::epoll_ctl(epfd_, EPOLL_CTL_ADD, writer_efd_, &ev) == 0);
+    }
+    writer_ = std::thread([this] { WriterMain(); });
+  }
+
+  void StopWriter() {
+    if (!writer_.joinable()) return;
+    {
+      std::lock_guard<std::mutex> lock(writer_mu_);
+      writer_stop_ = true;
+    }
+    writer_cv_.notify_one();
+    writer_.join();
+    if (epfd_ >= 0) ::epoll_ctl(epfd_, EPOLL_CTL_DEL, writer_efd_, nullptr);
+    ::close(writer_efd_);
+    writer_efd_ = -1;
+  }
+
+  void WriterMain() {
+    std::unique_lock<std::mutex> lock(writer_mu_);
+    while (true) {
+      writer_cv_.wait(lock, [this] {
+        return writer_stop_ || !writer_queue_.empty();
+      });
+      if (writer_stop_) return;
+      Conn* c = writer_queue_.front();
+      writer_queue_.pop_front();
+      lock.unlock();
+      // Outside admission control: at max_in_flight = 1 the loop's read
+      // batches are admitted as if no update were running.
+      c->update_result = c->update_engine->RunUpdate(*c->update_request);
+      lock.lock();
+      writer_done_.push_back(c);
+      const uint64_t one = 1;
+      SOI_CHECK(::write(writer_efd_, &one, sizeof(one)) ==
+                static_cast<ssize_t>(sizeof(one)));
+    }
+  }
+
+  // Blocks until the writer has completed at least one update.
+  void AwaitWriter() {
+    struct pollfd pfd{writer_efd_, POLLIN, 0};
+    while (::poll(&pfd, 1, /*timeout_ms=*/-1) < 0 && errno == EINTR) {
+    }
+  }
+
+  // Appends every completed update's response and unparks its connection:
+  // the held slots behind it become pending again. Returns through
+  // `resumed_` the live connections that were unparked. Once the writer
+  // has drained, updates held behind an owed poll are submitted.
+  void CompleteUpdates() {
+    uint64_t count = 0;
+    while (::read(writer_efd_, &count, sizeof(count)) < 0 && errno == EINTR) {
+    }
+    {
+      std::lock_guard<std::mutex> lock(writer_mu_);
+      completed_.swap(writer_done_);
+    }
+    resumed_.clear();
+    for (Conn* c : completed_) {
+      --updates_in_flight_;
+      c->parked = false;
+      c->update_pin.reset();
+      if (c->dead) continue;  // reaped now that the writer is done with it
+      Slot* s = &c->slots[c->slots_head];
+      AppendResponseLine(&c->out_buf, s->req.id, s->req.version,
+                         *c->update_result);
+      c->update_result.reset();
+      if (obs::Enabled()) {
+        SOI_OBS_HISTOGRAM_RECORD("serve/request_latency_us",
+                                 (obs::NowNs() - s->recv_ns) / 1000);
+      }
+      ++c->slots_head;
+      const size_t held = c->slots_used - c->slots_head;
+      if (held == 0) {
+        c->slots_used = 0;
+        c->slots_head = 0;
+      } else {
+        if (total_pending_ == 0 && options_.batch_window_us != 0) {
+          flush_deadline_ns_ = obs::NowNs() +
+              static_cast<uint64_t>(options_.batch_window_us) * 1000;
+        }
+        total_pending_ += held;
+      }
+      resumed_.push_back(c);
+    }
+    completed_.clear();
+    if (updates_in_flight_ == 0) SubmitParked();
+  }
+
+  // Epoll side of a completion: resumed connections parse what they had
+  // buffered, then everything pending is flushed at once, so requests held
+  // behind an update go out in the same write as its response (a second
+  // small write would wait for the peer's delayed ACK under Nagle). A
+  // poll skipped while the writer was busy runs now. A connection parked
+  // again by an earlier one's flush is skipped by ParseBuffered.
+  void OnWriterDone() {
+    CompleteUpdates();
+    for (Conn* c : resumed_) {
+      if (!c->dead) ParseBuffered(c);
+    }
+    FlushAndWrite();
+    Poll();
   }
 
   void RunChunk(Engine* engine) {
@@ -469,11 +685,21 @@ class EventLoop::Impl {
 
   void FlushAndWrite() {
     Flush();
-    if (!blocking_) AfterFlushWrites();
+    if (!blocking_) {
+      AfterFlushWrites();
+      return;
+    }
+    // The blocking driver has nothing else to serve while an update runs:
+    // wait for the writer, then flush what the update held back.
+    while (updates_in_flight_ != 0) {
+      AwaitWriter();
+      CompleteUpdates();
+      Flush();
+    }
   }
 
   void HandleReadable(Conn* c) {
-    if (c->dead || c->done || c->read_closed) return;
+    if (c->dead || c->done || c->read_closed || c->parked) return;
     if (options_.max_output_bytes != 0 &&
         c->pending_out() > options_.max_output_bytes) {
       return;  // backpressured; a stale event raced the interest update
@@ -561,6 +787,10 @@ class EventLoop::Impl {
     void* p = ev.data.ptr;
     if (p == this) {
       HandleListener();
+      return;
+    }
+    if (p == &writer_efd_) {
+      OnWriterDone();
       return;
     }
     const uintptr_t raw = reinterpret_cast<uintptr_t>(p);
@@ -659,14 +889,14 @@ class EventLoop::Impl {
       Poll();
       if (n == 0) {
         HandleEofTail(c);
-        Flush();
+        FlushAndWrite();
         return WriteAllPending(c);
       }
       c->in_buf.append(chunk, static_cast<size_t>(n));
       ParseBuffered(c);
       // Nothing more buffered right now: execute what we have instead of
       // stalling the client's responses.
-      if (total_pending_ != 0 && !ReadableNow(c->in_fd)) Flush();
+      if (total_pending_ != 0 && !ReadableNow(c->in_fd)) FlushAndWrite();
       SOI_RETURN_IF_ERROR(WriteAllPending(c));
     }
   }
@@ -693,6 +923,21 @@ class EventLoop::Impl {
   std::vector<Slot*> batch_slots_;
   std::vector<Conn*> batch_conns_;
   std::vector<Result<Response>> batch_results_;
+
+  // Writer thread, started by the first update. writer_mu_ guards the two
+  // queues and writer_stop_; everything else here is loop-thread only.
+  std::thread writer_;
+  int writer_efd_ = -1;
+  std::mutex writer_mu_;
+  std::condition_variable writer_cv_;
+  std::deque<Conn*> writer_queue_;
+  std::vector<Conn*> writer_done_;
+  bool writer_stop_ = false;
+  size_t updates_in_flight_ = 0;    // submitted, completion not yet handled
+  bool poll_owed_ = false;          // a poll was skipped while in flight
+  std::vector<Conn*> to_submit_;    // parked, not yet with the writer
+  std::vector<Conn*> completed_;    // CompleteUpdates scratch
+  std::vector<Conn*> resumed_;
 };
 
 Status EventLoop::Impl::ServePair(int in_fd, int out_fd) {
@@ -706,7 +951,9 @@ Status EventLoop::Impl::ServePair(int in_fd, int out_fd) {
     ReleaseFds(c);
     conns_.clear();
     CloseEpoll();
-    return RunBlockingPair(in_fd, out_fd);
+    const Status served = RunBlockingPair(in_fd, out_fd);
+    StopWriter();
+    return served;
   }
   if (err != 0) {
     errno = err;
@@ -717,6 +964,7 @@ Status EventLoop::Impl::ServePair(int in_fd, int out_fd) {
     return status;
   }
   const Status run = Run();
+  StopWriter();
   CloseEpoll();
   if (!run.ok()) return run;
   return pair_status_;
@@ -742,6 +990,7 @@ Status EventLoop::Impl::ServeListener(int listen_fd, uint32_t max_connections) {
     return status;
   }
   const Status run = Run();
+  StopWriter();
   // Fatal exits leave the listener and live conns behind; the destructor
   // path would close them, but do it eagerly so callers can rebind.
   CloseListener();

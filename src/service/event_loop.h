@@ -37,8 +37,10 @@ struct EventLoopOptions {
   /// until the client drains its socket. Bounds per-connection memory
   /// against slow readers.
   size_t max_output_bytes = 4u << 20;
-  /// Serve-loop poll hook (reload checks etc.); invoked on every wakeup.
-  /// Borrowed pointer — may be null, must outlive the loop when set.
+  /// Serve-loop poll hook (reload checks etc.); invoked on every wakeup
+  /// while no update is in flight, and when a skipped one is owed, after
+  /// the writer drains. Borrowed pointer — may be null, must outlive the
+  /// loop when set.
   const std::function<void()>* poll = nullptr;
 };
 
@@ -57,10 +59,18 @@ struct EventLoopOptions {
 ///   - write backpressure via EPOLLOUT re-arming and max_output_bytes;
 ///   - hot swap: the engine is Acquire()d from the EngineHandle once per
 ///     flush, so EngineHandle::Swap() retires the old engine only after
-///     in-flight chunks complete.
+///     in-flight chunks complete;
+///   - updates off the loop thread: a dynamic engine's update requests run
+///     on one writer thread, started by the first update, in submission
+///     order. The connection that sent one is parked — not read, its later
+///     requests held — until the response is appended; every other
+///     connection keeps being served. The poll hook runs only while no
+///     update is in flight; once one was skipped, new updates wait for the
+///     writer to drain so that it runs.
 ///
-/// One loop instance is single-threaded and not thread-safe; parallelism
-/// inside a batch comes from the engine's deterministic runtime.
+/// One loop instance is not thread-safe; besides the writer thread, its
+/// parallelism inside a batch comes from the engine's deterministic
+/// runtime.
 class EventLoop {
  public:
   /// Exactly one of `engine` / `handle` must be non-null (a fixed engine,

@@ -41,7 +41,9 @@ struct ServeOptions {
   /// where) to connect.
   std::function<void(uint16_t)> on_listening;
   /// Invoked at serve-loop boundaries: on every event-loop wakeup (including
-  /// signal interruptions, so a SIGHUP handler's flag is seen promptly).
+  /// signal interruptions, so a SIGHUP handler's flag is seen promptly)
+  /// while no update is on the writer thread. A wakeup skipped for that
+  /// reason holds new updates back until the writer drains, then runs it.
   /// This is where a CLI reload handler checks its flag and
   /// EngineHandle::Swap()s in a fresh snapshot — never from signal context.
   /// Must not block for long; requests queue while it runs.

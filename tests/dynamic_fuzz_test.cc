@@ -25,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include "dynamic/dynamic_graph.h"
+#include "dynamic/dynamic_index.h"
 #include "graph/prob_graph.h"
 #include "index/cascade_index.h"
 #include "runtime/parallel_for.h"
@@ -273,6 +274,86 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<PropagationModel>& info) {
       return info.param == PropagationModel::kLinearThreshold ? "Lt" : "Ic";
     });
+
+// The prepare/commit split under the same op stream, with the typical
+// table materialized: a prepared batch leaves the served index and table
+// untouched until its commit, the commit lands exactly where ApplyUpdates
+// does, and a table built between prepare and commit is dropped rather
+// than left stale. Records a transcript of every batch's stats and the
+// table, which must match at 1 and 8 threads.
+std::string RunPrepareCommit(PropagationModel model, uint32_t threads) {
+  SetGlobalThreads(threads);
+  UpdateStream stream(model == PropagationModel::kLinearThreshold ? 13 : 11);
+  const ProbGraph base = BaseGraph(&stream);
+  const EngineOptions options = DynamicOptions(model);
+  auto split = DynamicIndex::Build(base, options.index, options.seed);
+  auto whole = DynamicIndex::Build(base, options.index, options.seed);
+  SOI_CHECK(split.ok() && whole.ok());
+  SOI_CHECK(split->EnsureTypical().ok() && whole->EnsureTypical().ok());
+
+  std::string transcript;
+  uint32_t patched_batches = 0;  // rows recomputed by the prepare step
+  Rng shape_rng(model == PropagationModel::kLinearThreshold ? 73 : 53);
+  for (uint32_t applied = 0, batch = 0; applied < 400; ++batch) {
+    std::vector<GraphUpdate> ops(1 + shape_rng.NextBounded(8));
+    for (GraphUpdate& op : ops) op = stream.Next();
+    applied += static_cast<uint32_t>(ops.size());
+
+    const std::vector<Condensation> before = Worlds(split->index());
+    const FlatSets typical_before = split->typical();
+    // Every 8th batch: the table looked absent at prepare time (as when
+    // EnsureTypical races the prepare); the commit must drop it.
+    const bool racing_typical = batch % 8 == 7;
+    auto prepared = split->PrepareUpdates(ops, !racing_typical);
+    EXPECT_TRUE(prepared.ok()) << prepared.status().ToString();
+    if (!prepared.ok()) break;
+    EXPECT_TRUE(Worlds(split->index()) == before) << "batch " << batch;
+    EXPECT_TRUE(split->has_typical());
+    EXPECT_TRUE(split->typical() == typical_before) << "batch " << batch;
+    const UpdateStats got = split->CommitUpdates(&*prepared);
+    auto want = whole->ApplyUpdates(ops);
+    EXPECT_TRUE(want.ok()) << want.status().ToString();
+    if (!want.ok()) break;
+
+    EXPECT_EQ(got.applied_ops, want->applied_ops);
+    EXPECT_EQ(got.affected_worlds, want->affected_worlds);
+    EXPECT_EQ(got.drift, want->drift);
+    EXPECT_TRUE(SameWorlds(split->index(), whole->index()))
+        << "batch " << batch;
+    if (racing_typical && got.affected_worlds > 0) {
+      EXPECT_FALSE(split->has_typical()) << "batch " << batch;
+      EXPECT_EQ(got.affected_nodes, kNodes);
+    } else {
+      EXPECT_EQ(got.affected_nodes, want->affected_nodes);
+      if (got.affected_nodes > 0 && got.affected_nodes < kNodes) {
+        ++patched_batches;
+      }
+    }
+    SOI_CHECK(split->EnsureTypical().ok() && whole->EnsureTypical().ok());
+    EXPECT_TRUE(split->typical() == whole->typical()) << "batch " << batch;
+
+    transcript += std::to_string(got.applied_ops) + " " +
+                  std::to_string(got.affected_worlds) + " " +
+                  std::to_string(got.affected_nodes) + " " +
+                  std::to_string(got.drift) + ":";
+    const FlatSets& table = split->typical();
+    for (uint32_t v = 0; v < table.num_sets(); ++v) {
+      for (const NodeId u : table.Set(v)) transcript += std::to_string(u) + ",";
+      transcript += ";";
+    }
+    transcript += "\n";
+  }
+  EXPECT_GT(patched_batches, 0u);
+  SetGlobalThreads(0);
+  return transcript;
+}
+
+TEST_P(DynamicFuzz, PrepareCommitMatchesApplyAtEveryThreadCount) {
+  const std::string one = RunPrepareCommit(GetParam(), 1);
+  const std::string eight = RunPrepareCommit(GetParam(), 8);
+  EXPECT_FALSE(one.empty());
+  EXPECT_EQ(one, eight);
+}
 
 // Invalid ops must leave the engine untouched (batch atomicity seen from
 // the service layer): a batch with a bad tail op changes nothing.

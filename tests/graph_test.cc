@@ -221,6 +221,46 @@ TEST(GraphIoTest, SaveLoadRoundTrip) {
   std::filesystem::remove(path);
 }
 
+TEST(GraphIoTest, SaveLoadRoundTripKeepsTrailingIsolatedNodes) {
+  // Nodes 4..6 have no edges: only the header can say they exist.
+  ProbGraphBuilder b(7);
+  ASSERT_TRUE(b.AddEdge(0, 1, 0.5).ok());
+  ASSERT_TRUE(b.AddEdge(3, 2, 0.25).ok());
+  auto g = b.Build();
+  ASSERT_TRUE(g.ok());
+  const std::filesystem::path path = TestTempPath("isolated.txt");
+  ASSERT_TRUE(SaveEdgeList(*g, path.string()).ok());
+  const auto loaded = LoadEdgeList(path.string());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->num_nodes(), 7u);
+  EXPECT_EQ(loaded->num_edges(), 2u);
+  EXPECT_EQ(GraphFingerprint(*loaded), GraphFingerprint(*g));
+  std::filesystem::remove(path);
+
+  // An explicit num_nodes still wins over the header.
+  EdgeListOptions options;
+  options.num_nodes = 9;
+  const auto wider = ParseEdgeList(ToEdgeListString(*g), options);
+  ASSERT_TRUE(wider.ok());
+  EXPECT_EQ(wider->num_nodes(), 9u);
+}
+
+TEST(GraphIoTest, HeaderSmallerThanLargestIdIsRejected) {
+  const auto g = ParseEdgeList("# soi edge list: n=3 m=1 directed\n0 5 0.5\n");
+  ASSERT_FALSE(g.ok());
+  EXPECT_EQ(g.status().code(), StatusCode::kOutOfRange);
+  EXPECT_NE(g.status().message().find("header"), std::string::npos)
+      << g.status().ToString();
+  EXPECT_EQ(ParseEdgeList("# soi edge list: n=x m=1 directed\n0 1 0.5\n")
+                .status()
+                .code(),
+            StatusCode::kIOError);
+  // Other comments are still just comments.
+  const auto plain = ParseEdgeList("# soi graph\n0 5 0.5\n");
+  ASSERT_TRUE(plain.ok());
+  EXPECT_EQ(plain->num_nodes(), 6u);
+}
+
 TEST(GraphIoTest, LoadMissingFileFails) {
   EXPECT_EQ(LoadEdgeList("/nonexistent/soi.txt").status().code(),
             StatusCode::kIOError);

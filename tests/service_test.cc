@@ -5,7 +5,9 @@
 // concurrent path it exercises is also a data-race check.
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -27,10 +29,12 @@
 #include "graph/prob_graph.h"
 #include "index/cascade_index.h"
 #include "runtime/parallel_for.h"
+#include "service/drift_rebuild.h"
 #include "service/engine.h"
 #include "service/hot_swap.h"
 #include "service/protocol.h"
 #include "service/server.h"
+#include "test_temp_dir.h"
 #include "util/rng.h"
 
 namespace soi::service {
@@ -1572,6 +1576,477 @@ TEST(ServeTcpTest, BatchWindowCoalescesAcrossConnections) {
               0u)
         << got[c];
   }
+}
+
+// ---------------------------------------------------------------------------
+// Updates on the data plane: a dynamic engine's updates run on the event
+// loop's writer thread, the sending connection is parked, and every other
+// connection keeps being served (DESIGN §16.6).
+// ---------------------------------------------------------------------------
+
+namespace tcp {
+
+// Reads one '\n'-terminated line (without the '\n'), buffering the excess
+// in `*pending`. Returns false on EOF before a full line.
+bool ReadLine(int fd, std::string* pending, std::string* line) {
+  while (true) {
+    const size_t nl = pending->find('\n');
+    if (nl != std::string::npos) {
+      *line = pending->substr(0, nl);
+      pending->erase(0, nl + 1);
+      return true;
+    }
+    char buf[4096];
+    const ssize_t n = ::read(fd, buf, sizeof(buf));
+    if (n <= 0) return false;
+    pending->append(buf, static_cast<size_t>(n));
+  }
+}
+
+// True when `fd` has bytes (or EOF) to read right now.
+bool ReadableNow(int fd) {
+  struct pollfd pfd{fd, POLLIN, 0};
+  return ::poll(&pfd, 1, /*timeout_ms=*/0) > 0;
+}
+
+}  // namespace tcp
+
+std::string UpdateLine(int64_t id, const std::vector<GraphUpdate>& ops) {
+  std::string line = "{\"op\":\"update\",\"id\":" + std::to_string(id) +
+                     ",\"ops\":[";
+  for (size_t i = 0; i < ops.size(); ++i) {
+    const GraphUpdate& op = ops[i];
+    if (i > 0) line += ",";
+    const char* kind = op.kind == UpdateKind::kEdgeInsert   ? "insert"
+                       : op.kind == UpdateKind::kEdgeDelete ? "delete"
+                                                            : "prob";
+    line += std::string("{\"op\":\"") + kind +
+            "\",\"src\":" + std::to_string(op.src) +
+            ",\"dst\":" + std::to_string(op.dst);
+    if (op.kind != UpdateKind::kEdgeDelete) {
+      line += ",\"prob\":" + std::to_string(op.prob);
+    }
+    line += "}";
+  }
+  return line + "]}\n";
+}
+
+std::string SpreadLine(int64_t id, NodeId seed) {
+  return "{\"op\":\"spread\",\"seeds\":[" + std::to_string(seed) +
+         "],\"id\":" + std::to_string(id) + "}\n";
+}
+
+// The graph with `ops` applied, as a fresh build would see it.
+ProbGraph Apply(const ProbGraph& graph, const std::vector<GraphUpdate>& ops) {
+  DynamicGraph dynamic = DynamicGraph::FromGraph(graph);
+  for (const GraphUpdate& op : ops) SOI_CHECK(dynamic.Apply(op).ok());
+  auto materialized = dynamic.Materialize();
+  SOI_CHECK(materialized.ok());
+  return std::move(materialized).value();
+}
+
+struct TcpServer {
+  std::thread thread;
+  uint16_t port = 0;
+  Status status = Status::OK();
+};
+
+// Starts ServeTcp over `engine` or `handle` on an ephemeral port.
+void StartTcp(Engine* engine, const EngineHandle* handle,
+              ServeOptions options, TcpServer* server) {
+  std::promise<uint16_t> port_promise;
+  std::future<uint16_t> port_future = port_promise.get_future();
+  options.on_listening = [&](uint16_t port) { port_promise.set_value(port); };
+  server->thread = std::thread([engine, handle, options, server] {
+    server->status = engine != nullptr ? ServeTcp(engine, 0, options)
+                                       : ServeTcp(handle, 0, options);
+  });
+  server->port = port_future.get();
+}
+
+// A read on connection B is answered while connection A's large update
+// (all 64 worlds re-derived) is still in flight. An update run on the loop
+// thread would hold B's read behind it, so A's response would always
+// arrive first. The writer's update takes no admission slot, so B's reads
+// are admitted even at max_in_flight = 1.
+void ExpectReadsFlowDuringUpdate(uint32_t max_in_flight) {
+  constexpr NodeId kN = 6000;
+  const ProbGraph graph = RandomGraph(kN, 24000, /*seed=*/31);
+  EngineOptions options;
+  options.index.num_worlds = 64;
+  options.max_in_flight = max_in_flight;
+  auto engine = Engine::CreateDynamic(graph, options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+
+  // Near-certain inserts from many sources: every world changes.
+  std::vector<GraphUpdate> ops;
+  DynamicGraph shadow = DynamicGraph::FromGraph(graph);
+  for (NodeId u = 0; ops.size() < 48; u += 7) {
+    const GraphUpdate op{UpdateKind::kEdgeInsert, u, (u + 1013) % kN, 0.95};
+    if (shadow.Apply(op).ok()) ops.push_back(op);
+  }
+
+  ServeOptions serve;
+  serve.max_connections = 2;
+  TcpServer server;
+  StartTcp(&*engine, nullptr, serve, &server);
+  const int a = tcp::Connect(server.port);
+  const int b = tcp::Connect(server.port);
+  tcp::WriteAll(a, UpdateLine(1, ops));
+
+  uint32_t answered_during_update = 0;
+  std::string b_pending, line;
+  for (int64_t id = 2; !tcp::ReadableNow(a); ++id) {
+    tcp::WriteAll(b, SpreadLine(id, static_cast<NodeId>(id % kN)));
+    ASSERT_TRUE(tcp::ReadLine(b, &b_pending, &line));
+    EXPECT_EQ(line.rfind("{\"id\":" + std::to_string(id) + ",\"status\":\"ok\"",
+                         0),
+              0u)
+        << line;
+    // Count the answer only if A's response had not arrived by then.
+    if (!tcp::ReadableNow(a)) ++answered_during_update;
+  }
+  std::string a_pending;
+  ASSERT_TRUE(tcp::ReadLine(a, &a_pending, &line));
+  EXPECT_EQ(line.rfind("{\"id\":1,\"status\":\"ok\",\"op\":\"update\","
+                       "\"applied\":48,\"affected_worlds\":64",
+                       0),
+            0u)
+      << line;
+  EXPECT_GE(answered_during_update, 1u);
+  ::shutdown(a, SHUT_WR);
+  ::shutdown(b, SHUT_WR);
+  EXPECT_EQ(tcp::ReadUntilEof(a), "");
+  EXPECT_EQ(tcp::ReadUntilEof(b), "");
+  ::close(a);
+  ::close(b);
+  server.thread.join();
+  EXPECT_TRUE(server.status.ok()) << server.status.ToString();
+  EXPECT_EQ(engine->drift(), 48u);
+  EXPECT_EQ(engine->in_flight(), 0u);
+}
+
+TEST(DynamicServeTest, ReadsFlowWhileAnotherConnectionsUpdateIsInFlight) {
+  ExpectReadsFlowDuringUpdate(/*max_in_flight=*/4);
+}
+
+TEST(DynamicServeTest, ReadsAreAdmittedAtMaxInFlightOneDuringAnUpdate) {
+  ExpectReadsFlowDuringUpdate(/*max_in_flight=*/1);
+}
+
+// `spread; update; spread` pipelined on one connection (and in one engine
+// batch): the first read answers on the old graph, the second on the new.
+TEST(DynamicServeTest, PipelinedReadUpdateReadAnswersInRequestOrder) {
+  constexpr NodeId kN = 40;
+  const ProbGraph graph = RingGraph(kN);
+  EngineOptions options;
+  options.index.num_worlds = 16;
+  const std::vector<GraphUpdate> ops = {
+      GraphUpdate{UpdateKind::kEdgeInsert, 0, 20, 0.9}};
+  auto before = Engine::CreateDynamic(graph, options);
+  auto after = Engine::CreateDynamic(Apply(graph, ops), options);
+  ASSERT_TRUE(before.ok() && after.ok());
+  Request spread;
+  spread.payload = SpreadRequest{{0}};
+  const std::string want_old = FormatResponseLine(1, before->Run(spread));
+  const std::string want_new = FormatResponseLine(3, after->Run(spread));
+  ASSERT_NE(want_old.substr(6), want_new.substr(6));  // the update shows
+
+  // Over TCP, through the writer thread.
+  auto served = Engine::CreateDynamic(graph, options);
+  ASSERT_TRUE(served.ok());
+  ServeOptions serve;
+  serve.max_connections = 1;
+  TcpServer server;
+  StartTcp(&*served, nullptr, serve, &server);
+  const int fd = tcp::Connect(server.port);
+  tcp::WriteAll(fd, SpreadLine(1, 0) + UpdateLine(2, ops) + SpreadLine(3, 0));
+  ::shutdown(fd, SHUT_WR);
+  const std::vector<std::string> lines = SplitLines(tcp::ReadUntilEof(fd));
+  ::close(fd);
+  server.thread.join();
+  ASSERT_TRUE(server.status.ok()) << server.status.ToString();
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_EQ(lines[0] + "\n", want_old);
+  EXPECT_EQ(lines[1].rfind("{\"id\":2,\"status\":\"ok\",\"op\":\"update\"", 0),
+            0u)
+      << lines[1];
+  EXPECT_EQ(lines[2] + "\n", want_new);
+
+  // The same three requests as one engine batch.
+  auto batched = Engine::CreateDynamic(graph, options);
+  ASSERT_TRUE(batched.ok());
+  Request update;
+  update.payload = UpdateRequest{ops};
+  const std::vector<Request> batch = {spread, update, spread};
+  const auto results = batched->RunBatch(batch);
+  ASSERT_TRUE(results.ok());
+  EXPECT_EQ(FormatResponseLine(1, (*results)[0]), want_old);
+  ASSERT_TRUE((*results)[1].ok());
+  EXPECT_EQ(FormatResponseLine(3, (*results)[2]), want_new);
+}
+
+// The blocking driver (`serve --stdin < file`) and the epoll driver (a
+// pipe) send updates through the same writer path: byte-identical output.
+TEST(DynamicServeTest, FileAndPipeStdinAnswerUpdatesIdentically) {
+  const ProbGraph graph = RingGraph(40);
+  EngineOptions options;
+  options.index.num_worlds = 16;
+  const std::string input =
+      SpreadLine(1, 0) +
+      UpdateLine(2, {GraphUpdate{UpdateKind::kEdgeInsert, 0, 3, 0.5},
+                     GraphUpdate{UpdateKind::kEdgeInsert, 5, 8, 0.4}}) +
+      "not json\n" + SpreadLine(3, 0) +
+      UpdateLine(4, {GraphUpdate{UpdateKind::kEdgeDelete, 9, 12, 0}}) +
+      UpdateLine(5, {GraphUpdate{UpdateKind::kProbUpdate, 0, 3, 0.25}}) +
+      "{\"op\":\"seed_select\",\"k\":2,\"id\":6}\n" +
+      UpdateLine(7, {GraphUpdate{UpdateKind::kEdgeDelete, 5, 8, 0}}) +
+      "{\"op\":\"seed_select\",\"k\":2,\"id\":8}\n" +
+      "{\"op\":\"typical\",\"seeds\":[0],\"id\":9}\n" + SpreadLine(10, 0);
+
+  auto piped_engine = Engine::CreateDynamic(graph, options);
+  ASSERT_TRUE(piped_engine.ok());
+  const std::string piped = ServeOnce(&*piped_engine, input);
+
+  const std::string in_path = TestTempPath("dynamic.requests.jsonl");
+  const std::string out_path = TestTempPath("dynamic.responses.jsonl");
+  {
+    std::FILE* f = std::fopen(in_path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(input.data(), 1, input.size(), f), input.size());
+    std::fclose(f);
+  }
+  auto file_engine = Engine::CreateDynamic(graph, options);
+  ASSERT_TRUE(file_engine.ok());
+  const int in_fd = ::open(in_path.c_str(), O_RDONLY);
+  const int out_fd = ::open(out_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC,
+                            0644);
+  ASSERT_GE(in_fd, 0);
+  ASSERT_GE(out_fd, 0);
+  const Status status = ServeStream(&*file_engine, in_fd, out_fd);
+  ::close(in_fd);
+  ::close(out_fd);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  const int read_fd = ::open(out_path.c_str(), O_RDONLY);
+  const std::string from_file = tcp::ReadUntilEof(read_fd);
+  ::close(read_fd);
+
+  EXPECT_EQ(piped, from_file);
+  const std::vector<std::string> lines = SplitLines(piped);
+  ASSERT_EQ(lines.size(), 11u);
+  EXPECT_NE(lines[2].find("\"status\":\"invalid_argument\""),
+            std::string::npos)  // the malformed line, in order
+      << lines[2];
+  EXPECT_NE(lines[4].find("\"status\":\"invalid_argument\""),
+            std::string::npos)  // deleting an arc that does not exist
+      << lines[4];
+  EXPECT_EQ(piped_engine->fingerprint(), file_engine->fingerprint());
+  EXPECT_EQ(piped_engine->drift(), 4u);
+}
+
+// The client side of a pipelined update stream: `ops` as update requests,
+// each followed by a spread, all written before any answer is read.
+// Appends every acknowledged update to `acked` and, once the stream is
+// answered, stores in `*swaps_at_end` how many swaps had landed by then.
+void StreamPipelinedUpdates(uint16_t port, int64_t first_id,
+                            const std::vector<GraphUpdate>& ops,
+                            const std::atomic<uint32_t>& swaps,
+                            std::vector<GraphUpdate>* acked,
+                            uint32_t* swaps_at_end) {
+  const int fd = tcp::Connect(port);
+  std::string requests;
+  for (size_t i = 0; i < ops.size(); ++i) {
+    const int64_t id = first_id + 2 * static_cast<int64_t>(i);
+    requests += UpdateLine(id, {ops[i]}) + SpreadLine(id + 1, ops[i].src);
+  }
+  tcp::WriteAll(fd, requests);
+  std::string pending, line;
+  for (size_t i = 0; i < ops.size(); ++i) {
+    const int64_t id = first_id + 2 * static_cast<int64_t>(i);
+    ASSERT_TRUE(tcp::ReadLine(fd, &pending, &line));
+    ASSERT_EQ(
+        line.rfind("{\"id\":" + std::to_string(id) + ",\"status\":\"ok\"", 0),
+        0u)
+        << line;
+    acked->push_back(ops[i]);
+    ASSERT_TRUE(tcp::ReadLine(fd, &pending, &line));
+    EXPECT_EQ(line.rfind("{\"id\":" + std::to_string(id + 1) +
+                             ",\"status\":\"ok\"",
+                         0),
+              0u)
+        << line;
+  }
+  *swaps_at_end = swaps.load();
+  ::shutdown(fd, SHUT_WR);
+  EXPECT_EQ(tcp::ReadUntilEof(fd), "");
+  ::close(fd);
+}
+
+// The drift rebuild under live TCP traffic: two connections pipeline
+// disjoint updates and reads through a handle whose DriftRebuilder swaps
+// in rebuilt engines. The writer never goes idle on its own while both
+// streams are queued, so swaps land only because new updates are held
+// back for the owed poll; they must land before either stream is done,
+// and no acknowledged update may be lost to one.
+TEST(DynamicServeTest, DriftRebuildUnderTcpLosesNoAcknowledgedUpdate) {
+  constexpr NodeId kN = 40;
+  const ProbGraph graph = RingGraph(kN);
+  EngineOptions options;
+  options.index.num_worlds = 12;
+  options.drift_rebuild_threshold = 4;
+  auto first = Engine::CreateDynamic(graph, options);
+  ASSERT_TRUE(first.ok());
+  EngineHandle handle(std::move(*first));
+  DriftRebuilder rebuilder(&handle, options);
+  std::atomic<uint32_t> swaps{0};
+  std::atomic<bool> poll_failed{false};
+
+  ServeOptions serve;
+  serve.max_connections = 2;
+  serve.poll = [&] {
+    const DriftRebuilder::Event event = rebuilder.Poll();
+    if (!event.status.ok()) poll_failed.store(true);
+    if (event.swapped) swaps.fetch_add(1);
+  };
+  TcpServer server;
+  StartTcp(nullptr, &handle, serve, &server);
+
+  // Connection c owns the reserved arcs (u, u+3) with u % 2 == c; each
+  // update toggles one of them, so the two streams never conflict.
+  constexpr int kUpdatesPerConn = 400;
+  std::vector<std::vector<GraphUpdate>> ops(2), acked(2);
+  for (int c = 0; c < 2; ++c) {
+    std::vector<bool> present(kN, false);
+    for (int i = 0; i < kUpdatesPerConn; ++i) {
+      const NodeId u = static_cast<NodeId>((2 * i + c) % kN);
+      ops[c].push_back(GraphUpdate{present[u] ? UpdateKind::kEdgeDelete
+                                              : UpdateKind::kEdgeInsert,
+                                   u, (u + 3) % kN, present[u] ? 0.0 : 0.3});
+      present[u] = !present[u];
+    }
+  }
+  uint32_t swaps_at_end[2] = {0, 0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 2; ++c) {
+    clients.emplace_back([&, c] {
+      StreamPipelinedUpdates(server.port, c * 10000, ops[c], swaps, &acked[c],
+                             &swaps_at_end[c]);
+    });
+  }
+  for (auto& t : clients) t.join();
+  server.thread.join();
+  ASSERT_TRUE(server.status.ok()) << server.status.ToString();
+  EXPECT_FALSE(poll_failed.load());
+  EXPECT_GE(std::min(swaps_at_end[0], swaps_at_end[1]), 1u)
+      << "no swap landed while both update streams were running";
+  EXPECT_EQ(handle.epoch(), swaps.load());
+
+  std::vector<GraphUpdate> all = acked[0];
+  all.insert(all.end(), acked[1].begin(), acked[1].end());
+  ASSERT_EQ(all.size(), 2u * kUpdatesPerConn);
+  auto reference = Engine::CreateDynamic(Apply(graph, all), options);
+  ASSERT_TRUE(reference.ok());
+  const std::shared_ptr<Engine> served = handle.Acquire();
+  EXPECT_EQ(served->fingerprint(), reference->fingerprint());
+  EXPECT_TRUE(SameWorlds(served->index(), reference->index()));
+}
+
+// Two connections pipeline `update; update; spread; ...` at batch_max 2.
+// Both updates can complete in one eventfd drain; resuming the first
+// connection then flushes, which parks the second on its next update
+// before the loop comes to parse the second's buffer. A parked connection
+// must parse nothing (its slots must not grow under the writer), and every
+// answer still arrives in request order.
+TEST(DynamicServeTest, ConnectionReparkedDuringResumeParsesNothing) {
+  constexpr NodeId kN = 40;
+  const ProbGraph graph = RingGraph(kN);
+  EngineOptions options;
+  options.index.num_worlds = 8;
+  auto engine = Engine::CreateDynamic(graph, options);
+  ASSERT_TRUE(engine.ok());
+  ServeOptions serve;
+  serve.max_connections = 2;
+  serve.batch_max = 2;
+  TcpServer server;
+  StartTcp(&*engine, nullptr, serve, &server);
+
+  constexpr int kRounds = 60;
+  std::vector<std::vector<GraphUpdate>> acked(2);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 2; ++c) {
+    clients.emplace_back([&, c] {
+      const int fd = tcp::Connect(server.port);
+      std::string requests;
+      std::vector<int64_t> ids;
+      std::vector<GraphUpdate> ops;
+      for (int r = 0; r < kRounds; ++r) {
+        // Two arcs per round, inserted on even rounds and deleted on odd
+        // ones; the connections own disjoint sources.
+        const NodeId u = static_cast<NodeId>((4 * (r / 2) + 2 * c) % kN);
+        for (NodeId v : {u, static_cast<NodeId>(u + 1)}) {
+          const GraphUpdate op{r % 2 == 0 ? UpdateKind::kEdgeInsert
+                                          : UpdateKind::kEdgeDelete,
+                               v, (v + 5) % kN, r % 2 == 0 ? 0.4 : 0.0};
+          const int64_t id = c * 10000 + static_cast<int64_t>(ids.size());
+          requests += UpdateLine(id, {op});
+          ids.push_back(id);
+          ops.push_back(op);
+        }
+        for (int k = 0; k < 3; ++k) {
+          const int64_t id = c * 10000 + static_cast<int64_t>(ids.size());
+          requests += SpreadLine(id, u);
+          ids.push_back(id);
+        }
+      }
+      tcp::WriteAll(fd, requests);
+      ::shutdown(fd, SHUT_WR);
+      const std::vector<std::string> lines =
+          SplitLines(tcp::ReadUntilEof(fd));
+      ::close(fd);
+      ASSERT_EQ(lines.size(), ids.size());
+      for (size_t i = 0; i < ids.size(); ++i) {
+        EXPECT_EQ(lines[i].rfind("{\"id\":" + std::to_string(ids[i]) +
+                                     ",\"status\":\"ok\"",
+                                 0),
+                  0u)
+            << lines[i];
+      }
+      acked[c] = ops;
+    });
+  }
+  for (auto& t : clients) t.join();
+  server.thread.join();
+  ASSERT_TRUE(server.status.ok()) << server.status.ToString();
+  std::vector<GraphUpdate> all = acked[0];
+  all.insert(all.end(), acked[1].begin(), acked[1].end());
+  ASSERT_EQ(all.size(), 2u * 2 * kRounds);
+  auto reference = Engine::CreateDynamic(Apply(graph, all), options);
+  ASSERT_TRUE(reference.ok());
+  EXPECT_EQ(engine->fingerprint(), reference->fingerprint());
+  EXPECT_EQ(engine->drift(), all.size());
+}
+
+// A client that hangs up right after sending an update: the update still
+// applies, and the connection is reaped only once the writer is done.
+TEST(DynamicServeTest, ClientGoneDuringItsUpdateIsReapedAfterTheWriter) {
+  const ProbGraph graph = RingGraph(40);
+  EngineOptions options;
+  options.index.num_worlds = 16;
+  auto engine = Engine::CreateDynamic(graph, options);
+  ASSERT_TRUE(engine.ok());
+  ServeOptions serve;
+  serve.max_connections = 1;
+  TcpServer server;
+  StartTcp(&*engine, nullptr, serve, &server);
+  const int fd = tcp::Connect(server.port);
+  const std::vector<GraphUpdate> ops = {
+      GraphUpdate{UpdateKind::kEdgeInsert, 0, 3, 0.5},
+      GraphUpdate{UpdateKind::kEdgeInsert, 1, 4, 0.5}};
+  tcp::WriteAll(fd, UpdateLine(1, ops) + SpreadLine(2, 0));
+  ::close(fd);
+  server.thread.join();
+  EXPECT_TRUE(server.status.ok()) << server.status.ToString();
+  EXPECT_EQ(engine->drift(), 2u);
 }
 
 }  // namespace

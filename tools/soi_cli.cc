@@ -70,11 +70,9 @@
 // Graphs are whitespace edge lists: "src dst [prob]" (SNAP files load
 // directly; missing probabilities default to --default-prob).
 
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
-#include <future>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -99,6 +97,7 @@
 #include "obs/trace.h"
 #include "reliability/reliability.h"
 #include "runtime/parallel_for.h"
+#include "service/drift_rebuild.h"
 #include "service/engine.h"
 #include "service/hot_swap.h"
 #include "service/server.h"
@@ -1093,12 +1092,12 @@ int CmdServe(const FlagParser& flags) {
 
   if (dynamic) {
     // Incremental serving: the engine accepts op:update batches and patches
-    // its index in place. When --drift-rebuild-threshold is set, the poll
-    // hook (serve thread, between requests) watches drift and kicks off a
-    // *background* full rebuild from a consistent graph capture; once the
-    // rebuild finishes, the hook replays any updates that landed meanwhile
-    // (the journal catch-up) and hot-swaps — a semantic no-op by rebuild
-    // equivalence, operationally a compaction.
+    // its index in place, on the event loop's writer thread. When
+    // --drift-rebuild-threshold is set, the poll hook (serve thread, while
+    // no update is in flight) runs the DriftRebuilder: a background full
+    // rebuild from a consistent graph capture, then the journal catch-up
+    // and a hot swap — a semantic no-op by rebuild equivalence,
+    // operationally a compaction.
     CLI_ASSIGN(engine, service::Engine::CreateDynamic(std::move(graph),
                                                       options));
     std::fprintf(stderr,
@@ -1110,60 +1109,22 @@ int CmdServe(const FlagParser& flags) {
                      : "off");
     service::EngineHandle handle(std::move(engine));
 
-    std::future<Result<service::Engine>> rebuild;
-    uint64_t rebuild_seq = 0;
-    std::shared_ptr<service::Engine> rebuild_src;
+    service::DriftRebuilder rebuilder(&handle, options);
     serve_options.poll = [&]() {
-      if (options.drift_rebuild_threshold == 0) return;
-      if (!rebuild.valid()) {
-        auto current = handle.Acquire();
-        if (current->drift() < options.drift_rebuild_threshold) return;
-        auto state = current->CaptureDynamicState();
-        if (!state.ok()) return;  // racing swap; retry next poll
-        rebuild_seq = state->journal_seq;
-        rebuild_src = std::move(current);
-        rebuild = std::async(
-            std::launch::async,
-            [g = std::move(state->graph), options]() mutable {
-              return service::Engine::CreateDynamic(std::move(g), options);
-            });
-        return;
-      }
-      if (rebuild.wait_for(std::chrono::seconds(0)) !=
-          std::future_status::ready) {
-        return;
-      }
-      Result<service::Engine> next = rebuild.get();
-      if (!next.ok()) {
+      const service::DriftRebuilder::Event event = rebuilder.Poll();
+      if (!event.status.ok()) {
         // Keep serving the (drifted but correct) engine; rebuilds are an
         // optimization, never a point of failure.
         std::fprintf(stderr, "serve: drift rebuild failed, keeping "
                              "current engine: %s\n",
-                     next.status().ToString().c_str());
-        rebuild_src.reset();
-        return;
+                     event.status.ToString().c_str());
+      } else if (event.swapped) {
+        std::fprintf(stderr,
+                     "serve: drift rebuild swapped in (epoch %llu, replayed "
+                     "%zu journaled ops)\n",
+                     static_cast<unsigned long long>(handle.epoch()),
+                     event.replayed);
       }
-      const std::vector<GraphUpdate> catchup =
-          rebuild_src->JournalSince(rebuild_seq);
-      if (!catchup.empty()) {
-        service::Request replay;
-        replay.payload = service::UpdateRequest{catchup};
-        auto replayed = next->Run(replay);
-        if (!replayed.ok()) {
-          std::fprintf(stderr, "serve: drift rebuild catch-up failed, "
-                               "keeping current engine: %s\n",
-                       replayed.status().ToString().c_str());
-          rebuild_src.reset();
-          return;
-        }
-      }
-      rebuild_src.reset();
-      handle.Swap(std::move(*next));
-      std::fprintf(stderr,
-                   "serve: drift rebuild swapped in (epoch %llu, replayed "
-                   "%zu journaled ops)\n",
-                   static_cast<unsigned long long>(handle.epoch()),
-                   catchup.size());
     };
 
     Status served = Status::OK();
@@ -1174,7 +1135,6 @@ int CmdServe(const FlagParser& flags) {
       served = service::ServeTcp(&handle, static_cast<uint16_t>(port_i64),
                                  serve_options);
     }
-    if (rebuild.valid()) rebuild.wait();  // don't orphan a rebuild thread
     if (!served.ok()) return Fail(served);
     return 0;
   }
